@@ -7,7 +7,11 @@
 //    and inter-tree canonicalization at once.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdlib>
 #include <map>
+#include <set>
+#include <vector>
 
 #include "forest/nodes.h"
 
@@ -234,3 +238,135 @@ TEST_P(NodesRanks, ShellNodesConsistent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, NodesRanks, ::testing::Values(1, 2, 3, 5));
+
+namespace {
+
+/// One rank's numbering flattened for bit-exact comparison (weights by bits).
+struct FlatNumbering {
+  std::vector<std::int64_t> slots;  // per element, per corner: n, (gid, weight bits)...
+  std::vector<std::array<std::int32_t, 4>> owned_keys;
+  std::vector<std::int64_t> rank_offsets;
+  std::vector<std::pair<std::int64_t, std::array<std::int32_t, 4>>> gid_keys;
+  friend bool operator==(const FlatNumbering&, const FlatNumbering&) = default;
+};
+
+template <int Dim>
+FlatNumbering flatten(const NodeNumbering<Dim>& n) {
+  FlatNumbering f;
+  for (const auto& elem : n.elements) {
+    for (const auto& slot : elem) {
+      f.slots.push_back(static_cast<std::int64_t>(slot.size()));
+      for (const auto& c : slot) {
+        f.slots.push_back(c.gid);
+        f.slots.push_back(std::bit_cast<std::int64_t>(c.weight));
+      }
+    }
+  }
+  f.owned_keys = n.owned_keys;
+  f.rank_offsets = n.rank_offsets;
+  f.gid_keys = n.gid_keys;
+  return f;
+}
+
+/// Builds the mesh produced by `make` at `nranks` and returns every rank's
+/// flattened numbering, with the reference protocol selected or not.
+template <int Dim, typename Make>
+std::vector<FlatNumbering> numbering_per_rank(int nranks, bool reference, const Make& make) {
+  setenv("ESAMR_NODES_REFERENCE", reference ? "1" : "0", 1);
+  std::vector<FlatNumbering> out(static_cast<std::size_t>(nranks));
+  par::run(nranks, [&](par::Comm& c) {
+    const Forest<Dim> f = make(c);
+    const auto g = GhostLayer<Dim>::build(f);
+    out[static_cast<std::size_t>(c.rank())] = flatten(NodeNumbering<Dim>::build(f, g));
+  });
+  unsetenv("ESAMR_NODES_REFERENCE");
+  return out;
+}
+
+template <int Dim, typename Make>
+void expect_equivalent(int nranks, const Make& make) {
+  const auto ref = numbering_per_rank<Dim>(nranks, true, make);
+  const auto got = numbering_per_rank<Dim>(nranks, false, make);
+  for (int r = 0; r < nranks; ++r) {
+    const auto& a = ref[static_cast<std::size_t>(r)];
+    const auto& b = got[static_cast<std::size_t>(r)];
+    EXPECT_EQ(a.slots, b.slots) << "element slots differ on rank " << r;
+    EXPECT_EQ(a.owned_keys, b.owned_keys) << "owned_keys differ on rank " << r;
+    EXPECT_EQ(a.rank_offsets, b.rank_offsets) << "rank_offsets differ on rank " << r;
+    EXPECT_EQ(a.gid_keys, b.gid_keys) << "gid_keys differ on rank " << r;
+  }
+}
+
+// Refinement concentrated near tree boundaries (every level-l octant touching
+// a root face is a candidate), so hanging nodes land on inter-tree faces,
+// edges and corners as well as inside trees.
+template <int Dim>
+bool boundary_mark(int t, const Octant<Dim>& o, unsigned salt) {
+  bool on_face = false;
+  for (int f = 0; f < 2 * Dim; ++f) on_face = on_face || o.touches_root_face(f);
+  return random_mark(t, o, salt, on_face ? 2 : 5);
+}
+
+}  // namespace
+
+class NodesEquivalence : public ::testing::TestWithParam<int> {};
+
+// The default protocol must reproduce the reference oracle bit for bit: every
+// element slot (gid and weight bits), the owned keys, the rank offsets and the
+// gid -> key table, on every rank.
+TEST_P(NodesEquivalence, Moebius2D) {
+  expect_equivalent<2>(GetParam(), [](par::Comm& c) {
+    static const auto conn = Connectivity<2>::moebius(5);
+    auto f = Forest<2>::new_uniform(c, &conn, 2);
+    f.refine(5, true, [](int t, const Octant<2>& o) {
+      return o.level < 5 && boundary_mark(t, o, 41);
+    });
+    f.balance();
+    f.partition();
+    return f;
+  });
+}
+
+TEST_P(NodesEquivalence, PeriodicBrick2D) {
+  expect_equivalent<2>(GetParam(), [](par::Comm& c) {
+    static const auto conn = Connectivity<2>::brick({3, 2}, {true, true});
+    auto f = Forest<2>::new_uniform(c, &conn, 2);
+    f.refine(5, true, [](int t, const Octant<2>& o) {
+      return o.level < 5 && boundary_mark(t, o, 43);
+    });
+    f.balance();
+    f.partition();
+    return f;
+  });
+}
+
+TEST_P(NodesEquivalence, RotcubesFractal3D) {
+  expect_equivalent<3>(GetParam(), [](par::Comm& c) {
+    static const auto conn = Connectivity<3>::rotcubes();
+    auto f = Forest<3>::new_uniform(c, &conn, 1);
+    for (int l = 1; l < 4; ++l) {
+      f.refine(l + 1, false, [&](int, const Octant<3>& o) {
+        const int id = o.child_id();
+        return o.level == l && (id == 0 || id == 3 || id == 5 || id == 6);
+      });
+    }
+    f.balance();
+    f.partition();
+    return f;
+  });
+}
+
+TEST_P(NodesEquivalence, Shell3D) {
+  expect_equivalent<3>(GetParam(), [](par::Comm& c) {
+    static const auto conn = Connectivity<3>::shell();
+    auto f = Forest<3>::new_uniform(c, &conn, 1);
+    f.refine(3, true, [](int t, const Octant<3>& o) {
+      return o.level < 3 && boundary_mark(t, o, 47);
+    });
+    f.balance();
+    f.partition();
+    return f;
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, NodesEquivalence, ::testing::Values(1, 2, 4, 7, 16));

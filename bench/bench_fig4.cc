@@ -13,9 +13,9 @@
 // Usage: bench_fig4 [adapt_loop] [per_rank] [--json out.json]
 // The JSON report carries per-phase timings plus the OpStats counters
 // (octants sent, merge passes, exchange/resolution rounds, ...) summed over
-// ranks; BENCH_fig4.json in the repository root pins the pre-rewrite
-// baseline (reference ripple Balance + reference Nodes) that the `perf`
-// ctest label and EXPERIMENTS.md compare against.
+// ranks; BENCH_fig4.json in the repository root records a run of the
+// current defaults, which the `perf` ctest label and EXPERIMENTS.md
+// compare against.
 //
 // `adapt_loop` (ISSUE 8) measures repeated small-delta adapt steps — a
 // refinement front moving through one tree at ~1% churn per step — through

@@ -156,13 +156,12 @@ std::vector<std::vector<Octant<Dim>>> DeltaSet<Dim>::closure(const Connectivity<
     // instead of O(ball * rings) work. visited holds exact cells (mixed
     // sizes never dedup each other); the final normalize keeps outermost.
     const std::size_t nt = regions.size();
-    std::vector<std::vector<Oct>> visited(nt);
     std::vector<std::vector<Oct>> frontier = std::move(multi);
     for (std::size_t t = 0; t < nt; ++t) {
       std::sort(frontier[t].begin(), frontier[t].end());
       frontier[t].erase(std::unique(frontier[t].begin(), frontier[t].end()), frontier[t].end());
-      visited[t] = frontier[t];
     }
+    std::vector<std::vector<Oct>> visited = frontier;
     for (int r = 0; r < rings; ++r) {
       std::vector<std::vector<Oct>> cand(nt);
       bool any = false;

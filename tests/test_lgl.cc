@@ -33,7 +33,9 @@ TEST_P(LglDegrees, NodesSortedSymmetricInUnitInterval) {
   for (int i = 0; i < b.np; ++i) {
     EXPECT_NEAR(b.nodes[static_cast<std::size_t>(i)],
                 -b.nodes[static_cast<std::size_t>(b.np - 1 - i)], 1e-13);
-    if (i > 0) EXPECT_LT(b.nodes[static_cast<std::size_t>(i - 1)], b.nodes[static_cast<std::size_t>(i)]);
+    if (i > 0) {
+      EXPECT_LT(b.nodes[static_cast<std::size_t>(i - 1)], b.nodes[static_cast<std::size_t>(i)]);
+    }
   }
   EXPECT_EQ(b.nodes.front(), -1.0);
   EXPECT_EQ(b.nodes.back(), 1.0);

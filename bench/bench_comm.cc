@@ -1,6 +1,6 @@
-// Comm v2 benchmark driver: per-collective byte volume of the p2p
-// (tree/recursive-doubling/ring) backend against the reference shared-slot
-// backend, a Figure-7-style per-phase breakdown of the AMR pipeline with
+// Comm v2 benchmark: per-collective byte volume of the
+// tree/recursive-doubling/ring collectives, a Figure-7-style per-phase
+// breakdown of the AMR pipeline with
 // real message counts and byte volume from CommStats, the runtime
 // overhead of the dynamic correctness checker (src/par/check.h) on a
 // comm-bound workload, and the cost of the CRC32C message-integrity
@@ -28,8 +28,7 @@ namespace {
 
 struct VolumeRow {
   const char* collective;
-  std::int64_t ref_bytes;
-  std::int64_t p2p_bytes;
+  std::int64_t bytes;
 };
 
 struct PhaseRow {
@@ -49,11 +48,9 @@ struct IntegrityRow {
 };
 
 /// Total bytes moved by one collective with a `payload`-byte per-rank input.
-std::int64_t collective_volume(int p, par::Backend backend, par::Coll kind, std::size_t payload) {
-  par::RunOptions opts;
-  opts.backend = backend;
+std::int64_t collective_volume(int p, par::Coll kind, std::size_t payload) {
   std::int64_t total = 0;
-  par::run(p, opts, [&](par::Comm& c) {
+  par::run(p, [&](par::Comm& c) {
     std::vector<std::byte> buf(payload, std::byte{1});
     c.stats().reset();
     switch (kind) {
@@ -79,31 +76,23 @@ std::int64_t collective_volume(int p, par::Backend backend, par::Coll kind, std:
 }
 
 std::vector<VolumeRow> volume_table(int p, std::size_t payload) {
-  std::printf("=== collective byte volume, reference vs p2p backend (P=%d, %zu B/rank) ===\n", p,
-              payload);
-  std::printf("%-11s %14s %14s %8s\n", "collective", "reference B", "p2p B", "ratio");
+  std::printf("=== collective byte volume (P=%d, %zu B/rank) ===\n", p, payload);
+  std::printf("%-11s %14s\n", "collective", "bytes");
   const par::Coll kinds[] = {par::Coll::bcast,     par::Coll::reduce,     par::Coll::allreduce,
                              par::Coll::allgather, par::Coll::allgatherv, par::Coll::alltoall};
   std::vector<VolumeRow> rows;
   for (const auto kind : kinds) {
-    const auto ref = collective_volume(p, par::Backend::reference, kind, payload);
-    const auto p2p = collective_volume(p, par::Backend::p2p, kind, payload);
-    rows.push_back(VolumeRow{par::coll_name(kind), ref, p2p});
-    if (p2p > 0) {
-      std::printf("%-11s %14" PRId64 " %14" PRId64 " %7.2fx\n", par::coll_name(kind), ref, p2p,
-                  static_cast<double>(ref) / static_cast<double>(p2p));
-    } else {
-      std::printf("%-11s %14" PRId64 " %14" PRId64 " %8s\n", par::coll_name(kind), ref, p2p, "-");
-    }
+    const auto bytes = collective_volume(p, kind, payload);
+    rows.push_back(VolumeRow{par::coll_name(kind), bytes});
+    std::printf("%-11s %14" PRId64 "\n", par::coll_name(kind), bytes);
   }
-  std::printf("(tree/recursive-doubling/ring algorithms vs shared-slot data movement;\n");
-  std::printf(" accounting rule in src/par/stats.h. alltoall's 2.00x is purely the\n");
-  std::printf(" reference write+read double-count — its real volume is inherently equal)\n\n");
+  std::printf("(wire bytes inside each algorithm, every message counted once at the\n");
+  std::printf(" sender; accounting rule in src/par/stats.h)\n\n");
   return rows;
 }
 
 std::vector<PhaseRow> phase_table(int p) {
-  std::printf("=== AMR pipeline comm volume per phase (P=%d, p2p backend) ===\n", p);
+  std::printf("=== AMR pipeline comm volume per phase (P=%d) ===\n", p);
   std::printf("%-10s %10s %10s %12s %10s\n", "phase", "busy ms", "msgs", "bytes", "blocked ms");
   std::vector<PhaseRow> rows;
   par::run(p, [&](par::Comm& comm) {
@@ -240,9 +229,10 @@ struct OverlapRow {
 
 /// Blocking vs async ghost-value exchange on the same forest: busy time,
 /// blocked time, and — the zero-copy story — the payload copies the Buffer
-/// layer performed (the blocking alltoallv copies every packed buffer into
-/// the collective; the async path adopts the same buffers and the receivers
-/// read them in place).
+/// layer performed (the blocking baseline packs the mirror values and swaps
+/// them with one alltoallv, which copies every packed buffer into the
+/// collective; the async GhostLayer::exchange adopts the same buffers and
+/// the receivers read them in place).
 std::vector<OverlapRow> overlap_table(int p, int iters) {
   std::printf("\n=== async overlap: ghost exchange, blocking vs async (P=%d, %d iters) ===\n", p,
               iters);
@@ -287,10 +277,18 @@ std::vector<OverlapRow> overlap_table(int p, int iters) {
       }
     };
     measure("ghost blocking", [&] {
-      const auto out =
-          g.exchange_blocking(comm, std::span<const double>(mirror_data), per_elem);
+      std::vector<std::vector<double>> send(static_cast<std::size_t>(p));
+      for (int r = 0; r < p; ++r) {
+        for (const std::int32_t mi : g.mirror_lists[static_cast<std::size_t>(r)]) {
+          const double* block = mirror_data.data() + static_cast<std::size_t>(mi) * per_elem;
+          send[static_cast<std::size_t>(r)].insert(send[static_cast<std::size_t>(r)].end(), block,
+                                                   block + per_elem);
+        }
+      }
       double acc = 0.0;
-      for (const double v : out) acc += v;
+      for (const auto& from : comm.alltoallv(send)) {
+        for (const double v : from) acc += v;
+      }
       keep = keep + acc;
     });
     measure("ghost async", [&] {
@@ -318,10 +316,8 @@ void write_json(const char* path, int p, std::size_t payload, const std::vector<
   std::fprintf(out, "  \"collective_volume\": [\n");
   for (std::size_t i = 0; i < vols.size(); ++i) {
     std::fprintf(out,
-                 "    {\"collective\": \"%s\", \"reference_bytes\": %" PRId64
-                 ", \"p2p_bytes\": %" PRId64 "}%s\n",
-                 vols[i].collective, vols[i].ref_bytes, vols[i].p2p_bytes,
-                 i + 1 < vols.size() ? "," : "");
+                 "    {\"collective\": \"%s\", \"bytes\": %" PRId64 "}%s\n",
+                 vols[i].collective, vols[i].bytes, i + 1 < vols.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n  \"phases\": [\n");
   for (std::size_t i = 0; i < phases.size(); ++i) {

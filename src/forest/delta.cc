@@ -8,6 +8,7 @@
 namespace esamr::forest {
 
 bool incremental_enabled() {
+  // esamr-lint: allow(env-knob) — kill switch: every incremental path does a full rebuild
   const char* v = std::getenv("ESAMR_INCR");
   return v == nullptr || v[0] != '0';
 }

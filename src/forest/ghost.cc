@@ -99,8 +99,7 @@ void leaf_adjacent_owners(const Forest<Dim>& forest, int t, const Octant<Dim>& o
 namespace {
 
 /// The local half of build: scan the leaves, fill mirrors/mirror_lists, and
-/// pack the per-destination octant buffers. Shared by the async build and
-/// its blocking twin so the two are identical by construction.
+/// pack the per-destination octant buffers.
 template <int Dim>
 GhostLayer<Dim> ghost_scan(const Forest<Dim>& forest, int layers,
                            std::vector<std::vector<OctMsg>>& send) {
@@ -342,21 +341,6 @@ GhostLayer<Dim> GhostLayer<Dim>::build(const Forest<Dim>& forest, int layers) {
     ghost_append(layer, r, from);
   }
   par::wait_all(sends);
-  return layer;
-}
-
-template <int Dim>
-GhostLayer<Dim> GhostLayer<Dim>::build_blocking(const Forest<Dim>& forest, int layers) {
-  par::Comm& comm = forest.comm();
-  const int p = comm.size();
-  std::vector<std::vector<OctMsg>> send;
-  GhostLayer layer = ghost_scan(forest, layers, send);
-  const auto leaf_guards = forest.check_guard_leaves("ghost leaves");
-  const auto recv = comm.alltoallv(send);
-  layer.rank_offset.assign(static_cast<std::size_t>(p) + 1, 0);
-  for (int r = 0; r < p; ++r) {
-    ghost_append(layer, r, std::span<const OctMsg>(recv[static_cast<std::size_t>(r)]));
-  }
   return layer;
 }
 

@@ -7,7 +7,8 @@
 // replicated SFC markers, pruned to the touching interface) and sends those
 // leaves out; what it receives is exactly its ghost layer. The local leaves
 // that were sent are recorded as "mirrors" so that per-element payloads
-// (e.g. dG face data) can later be exchanged with a single alltoallv.
+// (e.g. dG face data) can later be exchanged with one message per
+// neighbouring rank (GhostLayer::exchange).
 #pragma once
 
 #include <cstring>
@@ -80,10 +81,6 @@ struct GhostLayer {
   /// superset of the k-neighborhood on strongly graded meshes.
   static GhostLayer build(const Forest<Dim>& forest, int layers = 1);
 
-  /// Blocking twin of build (one alltoallv after the scan); identical
-  /// result, kept as the differential-testing oracle.
-  static GhostLayer build_blocking(const Forest<Dim>& forest, int layers = 1);
-
   /// Full single-layer build that also (re)captures the per-leaf target
   /// cache for subsequent incremental builds. Identical result to build().
   static GhostLayer build_cached(const Forest<Dim>& forest, GhostScanCache<Dim>& cache);
@@ -140,30 +137,6 @@ struct GhostLayer {
                   vals.size_bytes());
     }
     par::wait_all(sends);
-    return out;
-  }
-
-  /// Blocking twin of exchange (one alltoallv); identical result.
-  template <typename T>
-  std::vector<T> exchange_blocking(par::Comm& comm, std::span<const T> mirror_data,
-                                   int per_elem) const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const int p = comm.size();
-    std::vector<std::vector<T>> send(static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      for (const std::int32_t mi : mirror_lists[static_cast<std::size_t>(r)]) {
-        const T* block = mirror_data.data() + static_cast<std::size_t>(mi) * per_elem;
-        send[static_cast<std::size_t>(r)].insert(send[static_cast<std::size_t>(r)].end(), block,
-                                                 block + per_elem);
-      }
-    }
-    const auto recv = comm.alltoallv(send);
-    std::vector<T> out(ghosts.size() * static_cast<std::size_t>(per_elem));
-    for (int r = 0; r < p; ++r) {
-      const auto& from = recv[static_cast<std::size_t>(r)];
-      std::memcpy(out.data() + rank_offset[static_cast<std::size_t>(r)] * per_elem, from.data(),
-                  from.size() * sizeof(T));
-    }
     return out;
   }
 };

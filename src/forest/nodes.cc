@@ -15,15 +15,15 @@
 //    (rare, measured by OpStats::nodes_rounds) need another round. The loop
 //    is allreduce-terminated with the same 64-round safety cap.
 //
-//  * the reference protocol (ESAMR_NODES_REFERENCE=1): the original
-//    formulation — per-corner point searches in the leaf directory,
-//    iterative rounds over a `want` set re-scanned to a local fixed point,
-//    one-hop answers — kept as a differential-testing oracle.
+//  * the reference protocol (build_reference): the original formulation —
+//    per-corner point searches in the leaf directory, iterative rounds over
+//    a `want` set re-scanned to a local fixed point, one-hop answers — kept
+//    as the differential-testing oracle (NodesEquivalence calls it
+//    directly).
 #include "forest/nodes.h"
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <set>
@@ -591,7 +591,8 @@ static void resolve(par::Comm& comm, NodeTable<Dim>& tab, std::size_t n_pass1,
 }
 
 template <int Dim>
-static NodeNumbering<Dim> build_batched(const Forest<Dim>& forest, const GhostLayer<Dim>& ghost) {
+NodeNumbering<Dim> NodeNumbering<Dim>::build(const Forest<Dim>& forest,
+                                             const GhostLayer<Dim>& ghost) {
   using Key = typename NodeNumbering<Dim>::Key;
   using Contrib = typename NodeNumbering<Dim>::Contrib;
   constexpr int nc = Topo<Dim>::num_corners;
@@ -1019,9 +1020,8 @@ const NodeNumbering<Dim>& NodeNumbering<Dim>::build_incremental(const Forest<Dim
                                                                 DeltaSet<Dim>& delta,
                                                                 NodesCache<Dim>& cache) {
   par::Comm& comm = forest.comm();
-  const char* ref = std::getenv("ESAMR_NODES_REFERENCE");
-  const bool bad_local = !incremental_enabled() || (ref != nullptr && ref[0] == '1') ||
-                         !cache.valid || delta.overflow || cache.markers != forest.markers();
+  const bool bad_local = !incremental_enabled() || !cache.valid || delta.overflow ||
+                         cache.markers != forest.markers();
   if (comm.allreduce(static_cast<int>(bad_local), par::ReduceOp::logical_or) != 0) {
     cache.numbering = build(forest, ghost);
   } else {
@@ -1037,7 +1037,7 @@ const NodeNumbering<Dim>& NodeNumbering<Dim>::build_incremental(const Forest<Dim
 }
 
 // ---------------------------------------------------------------------------
-// Reference protocol (ESAMR_NODES_REFERENCE=1): the original iterative
+// Reference protocol (build_reference): the original iterative
 // formulation, kept as a differential-testing oracle. It classifies by point
 // search, independently of the iterate it checks.
 // ---------------------------------------------------------------------------
@@ -1127,8 +1127,8 @@ struct NodeClassifier {
 }  // namespace
 
 template <int Dim>
-static NodeNumbering<Dim> build_reference(const Forest<Dim>& forest,
-                                          const GhostLayer<Dim>& ghost) {
+NodeNumbering<Dim> NodeNumbering<Dim>::build_reference(const Forest<Dim>& forest,
+                                                       const GhostLayer<Dim>& ghost) {
   using Oct = Octant<Dim>;
   using T = Topo<Dim>;
   using Key = typename NodeNumbering<Dim>::Key;
@@ -1345,14 +1345,6 @@ static NodeNumbering<Dim> build_reference(const Forest<Dim>& forest,
   for (const auto& [k, g] : gid_of) out.gid_keys.emplace_back(g, k);
   std::sort(out.gid_keys.begin(), out.gid_keys.end());
   return out;
-}
-
-template <int Dim>
-NodeNumbering<Dim> NodeNumbering<Dim>::build(const Forest<Dim>& forest,
-                                             const GhostLayer<Dim>& ghost) {
-  const char* ref = std::getenv("ESAMR_NODES_REFERENCE");
-  if (ref != nullptr && ref[0] == '1') return build_reference<Dim>(forest, ghost);
-  return build_batched<Dim>(forest, ghost);
 }
 
 template <int Dim>

@@ -82,6 +82,10 @@ struct NodeNumbering {
   /// Build the numbering for a 2:1-balanced forest with its ghost layer.
   static NodeNumbering build(const Forest<Dim>& forest, const GhostLayer<Dim>& ghost);
 
+  /// The original search-based iterative protocol; same result as build().
+  /// Not used by the library; the differential tests call it as the oracle.
+  static NodeNumbering build_reference(const Forest<Dim>& forest, const GhostLayer<Dim>& ghost);
+
   /// Incremental build after a tracked adapt step (collective). Instead of
   /// re-classifying every element corner, only elements overlapping the delta
   /// regions widened by a fixed number of insulation rings are re-classified;
@@ -90,8 +94,8 @@ struct NodeNumbering {
   /// monotone gid remap. The result — ids included — is identical to a full
   /// build() on the new forest. Falls back to build() (and recaptures the
   /// cache) when the cache is invalid, the partition changed, the delta
-  /// overflowed, ESAMR_INCR=0, or ESAMR_NODES_REFERENCE=1; the decision is
-  /// collective. Returns the numbering now held by `cache`.
+  /// overflowed, or ESAMR_INCR=0; the decision is collective. Returns the
+  /// numbering now held by `cache`.
   static const NodeNumbering& build_incremental(const Forest<Dim>& forest,
                                                 const GhostLayer<Dim>& ghost,
                                                 DeltaSet<Dim>& delta, NodesCache<Dim>& cache);

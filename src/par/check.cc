@@ -86,6 +86,7 @@ void assert_fail(const char* expr, const char* file, unsigned line, int rank,
 int effective_level(int opts_check) {
   if (opts_check >= 0) return std::min(opts_check, 2);
   static const int env_level = [] {
+    // esamr-lint: allow(env-knob) — arms the checker for the *_checked whole-binary reruns
     const char* env = std::getenv("ESAMR_CHECK");
     if (env == nullptr || env[0] == '\0') return 0;
     const int v = std::atoi(env);

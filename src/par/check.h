@@ -272,8 +272,8 @@ int effective_level(int opts_check);
 /// True if the comm's world runs with checking enabled.
 bool enabled(const Comm& comm);
 
-/// RAII declaration of a rank-owned memory region: the forest leaf arrays,
-/// field vectors, and shared collective slots register themselves around
+/// RAII declaration of a rank-owned memory region: the forest leaf arrays
+/// and field vectors register themselves around
 /// communication phases so detector 1 can attribute accesses.
 class RegionGuard {
  public:

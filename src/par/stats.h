@@ -3,13 +3,10 @@
 // Every Comm carries a CommStats: point-to-point message/byte counters,
 // per-collective invocation counts and payloads, the wire traffic generated
 // *inside* the collective algorithms, and the wall time a rank spent blocked
-// in recv/barrier. The byte accounting rule (see DESIGN.md):
-//   - p2p backend: each internal message is counted once, at the sender.
-//   - reference backend: bytes written into and read out of the shared slot
-//     arrays are both counted (that is the data the backend actually moves).
-// Under that rule the tree/recursive-doubling algorithms report strictly
-// lower volume than the reference backend for non-trivial payloads, which is
-// what bench_comm and the collectives test assert at P = 16.
+// in recv/barrier. The byte accounting rule (see DESIGN.md): each message
+// internal to a collective algorithm is counted once, at the sender
+// (coll_msgs / coll_bytes). The collectives test pins the exact per-algorithm
+// volumes this gives at P = 16.
 #pragma once
 
 #include <array>
@@ -36,7 +33,7 @@ inline constexpr int n_coll_kinds = static_cast<int>(Coll::n_kinds);
 
 const char* coll_name(Coll k);
 
-/// Per-rank counters. Trivially copyable so snapshots can gather it raw.
+/// Per-rank counters. Plain values, so a snapshot is a copy.
 struct CommStats {
   // User point-to-point traffic (Comm::send* / Comm::recv). Nonblocking ops
   // count here too (an isend is a p2p_send, an irecv completion a p2p_recv),

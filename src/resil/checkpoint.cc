@@ -77,6 +77,12 @@ struct DeltaImage {
   throw CheckpointCorrupt("checkpoint " + path + ": " + what);
 }
 
+/// True iff `nbytes` is exactly `count` elements of `elem` bytes. Divides
+/// instead of multiplying: a hostile `count` must not wrap the product.
+bool holds_exactly(std::uint64_t nbytes, std::uint64_t count, std::uint64_t elem) {
+  return nbytes % elem == 0 && nbytes / elem == count;
+}
+
 // Process-wide commit-path counters (see disk_fault_stats in the header).
 std::atomic<std::int64_t> g_commits{0};
 std::atomic<std::int64_t> g_write_retries{0};
@@ -144,6 +150,11 @@ Image load_image(const std::string& path, int dim, std::uint64_t conn_id, int nu
                              ": snapshot does not match this forest (dim/trees/connectivity)");
   }
 
+  // The header CRC covers num_sections but not its plausibility: bound it by
+  // the file before allocating the descriptor table.
+  if (h.num_sections > (static_cast<std::uint64_t>(fsize) - sizeof(Header)) / sizeof(SectionDesc)) {
+    corrupt(path, "section table extends past end of file");
+  }
   std::vector<SectionDesc> descs(h.num_sections);
   fp.read_exact(descs.data(), descs.size() * sizeof(SectionDesc));
   const std::uint64_t data_start = sizeof(Header) + descs.size() * sizeof(SectionDesc);
@@ -156,7 +167,8 @@ Image load_image(const std::string& path, int dim, std::uint64_t conn_id, int nu
   std::vector<std::uint64_t> writer_counts;
   for (const SectionDesc& d : descs) {
     const std::string name(d.name, strnlen(d.name, sizeof(d.name)));
-    if (d.offset < data_start || d.offset + d.nbytes > static_cast<std::uint64_t>(fsize)) {
+    if (d.offset < data_start || d.nbytes > static_cast<std::uint64_t>(fsize) ||
+        d.offset > static_cast<std::uint64_t>(fsize) - d.nbytes) {
       corrupt(path, "section '" + name + "' extends past end of file");
     }
     std::vector<std::byte> buf(d.nbytes);
@@ -178,14 +190,14 @@ Image load_image(const std::string& path, int dim, std::uint64_t conn_id, int nu
       std::memcpy(writer_counts.data(), buf.data(), buf.size());
       have_ranges = true;
     } else if (name == "octants") {
-      if (d.nbytes != h.num_octants * sizeof(forest::OctMsg)) {
+      if (!holds_exactly(d.nbytes, h.num_octants, sizeof(forest::OctMsg))) {
         corrupt(path, "'octants' section size does not match octant count");
       }
       img.octants.resize(h.num_octants);
       std::memcpy(img.octants.data(), buf.data(), buf.size());
       have_octants = true;
     } else {
-      if (d.aux == 0 || d.nbytes != h.num_octants * d.aux * sizeof(double)) {
+      if (d.aux == 0 || !holds_exactly(d.nbytes, h.num_octants, d.aux * sizeof(double))) {
         corrupt(path, "field section '" + name + "' has inconsistent size");
       }
       NamedField f;
@@ -227,6 +239,11 @@ DeltaImage load_delta_image(const std::string& path, int dim, std::uint64_t conn
                              ": snapshot does not match this forest (dim/trees/connectivity)");
   }
 
+  // The header CRC covers num_sections but not its plausibility: bound it by
+  // the file before allocating the descriptor table.
+  if (h.num_sections > (static_cast<std::uint64_t>(fsize) - sizeof(Header)) / sizeof(SectionDesc)) {
+    corrupt(path, "section table extends past end of file");
+  }
   std::vector<SectionDesc> descs(h.num_sections);
   fp.read_exact(descs.data(), descs.size() * sizeof(SectionDesc));
   const std::uint64_t data_start = sizeof(Header) + descs.size() * sizeof(SectionDesc);
@@ -238,7 +255,8 @@ DeltaImage load_delta_image(const std::string& path, int dim, std::uint64_t conn
   bool have_meta = false, have_regions = false, have_octants = false;
   for (const SectionDesc& d : descs) {
     const std::string name(d.name, strnlen(d.name, sizeof(d.name)));
-    if (d.offset < data_start || d.offset + d.nbytes > static_cast<std::uint64_t>(fsize)) {
+    if (d.offset < data_start || d.nbytes > static_cast<std::uint64_t>(fsize) ||
+        d.offset > static_cast<std::uint64_t>(fsize) - d.nbytes) {
       corrupt(path, "section '" + name + "' extends past end of file");
     }
     std::vector<std::byte> buf(d.nbytes);
@@ -268,14 +286,14 @@ DeltaImage load_delta_image(const std::string& path, int dim, std::uint64_t conn
       std::memcpy(img.regions.data(), buf.data(), buf.size());
       have_regions = true;
     } else if (name == "doctants") {
-      if (d.nbytes != h.num_octants * sizeof(forest::OctMsg)) {
+      if (!holds_exactly(d.nbytes, h.num_octants, sizeof(forest::OctMsg))) {
         corrupt(path, "'doctants' section size does not match octant count");
       }
       img.octants.resize(h.num_octants);
       std::memcpy(img.octants.data(), buf.data(), buf.size());
       have_octants = true;
     } else {
-      if (d.aux == 0 || d.nbytes != h.num_octants * d.aux * sizeof(double)) {
+      if (d.aux == 0 || !holds_exactly(d.nbytes, h.num_octants, d.aux * sizeof(double))) {
         corrupt(path, "field section '" + name + "' has inconsistent size");
       }
       NamedField f;

@@ -56,6 +56,7 @@ const std::vector<RuleCase>& cases() {
       {"comm_entry", "comm-entry", {"comm-entry comm.h:11", "comm-entry comm.h:12"}},
       {"checked_io", "checked-io",
        {"checked-io dump.cc:6", "checked-io dump.cc:7", "checked-io dump.cc:8"}},
+      {"env_knob", "env-knob", {"env-knob fast_path.cc:5"}},
   };
   return c;
 }
@@ -115,6 +116,17 @@ TEST(LintScoping, TestsAndBenchOnlyGetTheRawSleepRule) {
       "bench/bench_x.cc", "void f() { std::this_thread::sleep_for(s); }\n");
   ASSERT_EQ(sleep.findings.size(), 1u);
   EXPECT_EQ(sleep.findings[0].rule, "raw-sleep");
+}
+
+TEST(LintScoping, EnvKnobFiresInSrcOnly) {
+  // A new runtime knob in the library is a finding; tests and benches may
+  // read the environment.
+  const std::string knob = "const char* v = std::getenv(\"ESAMR_NEW_KNOB\");\n";
+  const Report lib = esamr::lint::analyze_source("src/forest/x.cc", knob);
+  ASSERT_EQ(lib.findings.size(), 1u) << esamr::lint::to_text(lib);
+  EXPECT_EQ(lib.findings[0].rule, "env-knob");
+  EXPECT_TRUE(esamr::lint::analyze_source("tests/test_x.cc", knob).findings.empty());
+  EXPECT_TRUE(esamr::lint::analyze_source("bench/bench_x.cc", knob).findings.empty());
 }
 
 TEST(LintOptions, RuleFilterRestrictsFindings) {

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <vector>
@@ -269,17 +268,17 @@ FlatNumbering flatten(const NodeNumbering<Dim>& n) {
 }
 
 /// Builds the mesh produced by `make` at `nranks` and returns every rank's
-/// flattened numbering, with the reference protocol selected or not.
+/// flattened numbering, built by the reference protocol or by build().
 template <int Dim, typename Make>
 std::vector<FlatNumbering> numbering_per_rank(int nranks, bool reference, const Make& make) {
-  setenv("ESAMR_NODES_REFERENCE", reference ? "1" : "0", 1);
   std::vector<FlatNumbering> out(static_cast<std::size_t>(nranks));
   par::run(nranks, [&](par::Comm& c) {
     const Forest<Dim> f = make(c);
     const auto g = GhostLayer<Dim>::build(f);
-    out[static_cast<std::size_t>(c.rank())] = flatten(NodeNumbering<Dim>::build(f, g));
+    out[static_cast<std::size_t>(c.rank())] =
+        flatten(reference ? NodeNumbering<Dim>::build_reference(f, g)
+                          : NodeNumbering<Dim>::build(f, g));
   });
-  unsetenv("ESAMR_NODES_REFERENCE");
   return out;
 }
 

@@ -12,10 +12,13 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "apps/mantle.h"
+#include "forest/delta.h"
 #include "forest/forest.h"
 #include "par/comm.h"
 #include "par/inject.h"
@@ -93,6 +96,49 @@ std::vector<std::int64_t> global_state_words(par::Comm& c, const Forest<2>& f,
   for (const auto& part : c.allgatherv(octs)) all.insert(all.end(), part.begin(), part.end());
   for (const auto& part : c.allgatherv(vals)) all.insert(all.end(), part.begin(), part.end());
   return all;
+}
+
+// On-disk layout offsets (src/resil/checkpoint.cc: Header, SectionDesc) used
+// to craft hostile snapshots that are well-formed apart from one field.
+constexpr std::uint64_t kHeaderNumOctants = 32;
+constexpr std::uint64_t kHeaderNumSections = 48;
+constexpr std::uint64_t kHeaderCrc = 52;
+constexpr std::uint64_t kFirstDesc = 56;
+constexpr std::uint64_t kDescOffset = 24;
+constexpr std::uint64_t kDescNbytes = 32;
+
+std::uint64_t read_u64(const std::string& path, std::uint64_t at) {
+  std::ifstream in(path, std::ios::binary);
+  in.seekg(static_cast<std::streamoff>(at));
+  std::uint64_t v = 0;
+  in.read(reinterpret_cast<char*>(&v), sizeof(v));
+  EXPECT_TRUE(in.good()) << path;
+  return v;
+}
+
+template <typename T>
+void write_at(const std::string& path, std::uint64_t at, T v) {
+  std::fstream io(path, std::ios::in | std::ios::out | std::ios::binary);
+  io.seekp(static_cast<std::streamoff>(at));
+  io.write(reinterpret_cast<const char*>(&v), sizeof(v));
+  EXPECT_TRUE(io.good()) << path;
+}
+
+/// Recompute the header CRC after a header field was changed, so the change
+/// reaches the decoder behind the CRC check.
+void reseal_header(const std::string& path) {
+  char h[kHeaderCrc];
+  std::ifstream in(path, std::ios::binary);
+  in.read(h, sizeof(h));
+  ASSERT_TRUE(in.good()) << path;
+  write_at(path, kHeaderCrc, resil::crc32c(h, sizeof(h)));
+}
+
+/// Give the first section descriptor a length for which offset + nbytes
+/// wraps around to a small in-file value.
+void craft_wrapping_descriptor(const std::string& path) {
+  const std::uint64_t offset = read_u64(path, kFirstDesc + kDescOffset);
+  write_at(path, kFirstDesc + kDescNbytes, std::uint64_t{0} - offset + 8);
 }
 
 /// First seed for which exactly one of `nranks` ranks is a kill victim.
@@ -280,6 +326,87 @@ TEST(Checkpoint, WrongConnectivityRejected) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("does not match"), std::string::npos) << e.what();
   }
+}
+
+namespace {
+
+// Hostile input: a newest ring entry that is well formed except for one
+// crafted field must be rejected as CheckpointCorrupt (not crash the loader
+// with length_error or bad_alloc) and restore_latest must fall back to the
+// previous entry.
+void expect_crafted_newest_falls_back(const std::string& name,
+                                      const std::function<void(const std::string&)>& craft) {
+  const auto conn = Connectivity<2>::unit();
+  const std::uint64_t cid = resil::connectivity_id(conn);
+  const std::string dir = test_dir(name);
+  par::run(2, [&](par::Comm& c) {
+    resil::CheckpointRing ring(dir, 3);
+    auto f = make_forest(c, conn);
+    const auto eps = make_field(f, "eps", 1);
+    resil::write_checkpoint_ring(f, cid, 1, {eps}, ring);
+    resil::write_checkpoint_ring(f, cid, 2, {eps}, ring);
+  });
+  resil::CheckpointRing ring(dir, 3);
+  ASSERT_EQ(ring.entries().size(), 2u);
+  craft(ring.newest());
+  EXPECT_THROW(
+      par::run(1, [&](par::Comm& c) { resil::restore_checkpoint<2>(c, conn, cid, ring.newest()); }),
+      resil::CheckpointCorrupt)
+      << name;
+  par::run(2, [&](par::Comm& c) {
+    resil::CheckpointRing r2(dir, 3);
+    int fallbacks = -1;
+    auto r = resil::restore_latest<2>(c, conn, cid, r2, &fallbacks);
+    EXPECT_EQ(r.step, 1u) << name;
+    EXPECT_EQ(fallbacks, 1) << name;
+  });
+  fs::remove_all(dir);
+}
+
+}  // namespace
+
+TEST(Checkpoint, CraftedSectionDescriptorFallsBackThroughRing) {
+  expect_crafted_newest_falls_back("crafted_desc", craft_wrapping_descriptor);
+}
+
+TEST(Checkpoint, ResealedHeaderFieldsFallBackThroughRing) {
+  // An octant count whose product with the 20-byte octant record wraps to
+  // the real section size (20 * 2^62 = 0 mod 2^64).
+  expect_crafted_newest_falls_back("resealed_octants", [](const std::string& path) {
+    write_at(path, kHeaderNumOctants, read_u64(path, kHeaderNumOctants) + (std::uint64_t{1} << 62));
+    reseal_header(path);
+  });
+  // A section count whose descriptor table could never fit in the file.
+  expect_crafted_newest_falls_back("resealed_sections", [](const std::string& path) {
+    write_at(path, kHeaderNumSections, std::uint32_t{0xffffffffu});
+    reseal_header(path);
+  });
+}
+
+TEST(Checkpoint, CraftedDeltaDescriptorEndsTheChainAtTheFullSnapshot) {
+  const auto conn = Connectivity<2>::unit();
+  const std::uint64_t cid = resil::connectivity_id(conn);
+  const std::string dir = test_dir("crafted_delta");
+  par::run(2, [&](par::Comm& c) {
+    resil::CheckpointRing ring(dir, 3);
+    auto f = make_forest(c, conn);
+    resil::write_checkpoint_ring(f, cid, 1, {make_field(f, "eps", 1)}, ring);
+    forest::DeltaSet<2> delta(f.num_trees());
+    f.refine(5, false, [](int, const Octant<2>& o) { return o.x == 0 && o.y == 0; }, &delta);
+    f.balance_incremental(delta);
+    resil::write_delta_checkpoint_ring(f, cid, 2, {make_field(f, "eps", 1)}, delta, ring);
+  });
+  resil::CheckpointRing ring(dir, 3);
+  ASSERT_TRUE(resil::CheckpointRing::is_delta(ring.newest()));
+  craft_wrapping_descriptor(ring.newest());
+  par::run(2, [&](par::Comm& c) {
+    resil::CheckpointRing r2(dir, 3);
+    int fallbacks = -1;
+    auto r = resil::restore_latest_chain<2>(c, conn, cid, r2, &fallbacks);
+    EXPECT_EQ(r.step, 1u);
+    EXPECT_EQ(fallbacks, 1);
+  });
+  fs::remove_all(dir);
 }
 
 TEST(RankKill, DeterministicVictimAndFailurePropagation) {

@@ -662,6 +662,19 @@ void rule_checked_io(FileAnalysis* fa) {
   }
 }
 
+void rule_env_knob(FileAnalysis* fa) {
+  const auto& t = fa->lx.toks;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if (!is_ident(t, i) || t[i].text != "getenv" || !is(t, i + 1, "(")) continue;
+    if (i > 0 && (t[i - 1].text == "." || t[i - 1].text == "->")) continue;  // member
+    fa->findings.push_back(Finding{
+        "env-knob", fa->path, t[i].line, t[i].col,
+        "getenv in library code — a runtime knob that swaps behaviour outside the API; "
+        "pass an option or call the alternative directly (reasoned allow() for the few "
+        "process-wide switches)"});
+  }
+}
+
 // --- Project assembly ------------------------------------------------------
 
 FileAnalysis analyze_file_ctx(const std::string& path, const std::string& text) {
@@ -680,6 +693,7 @@ FileAnalysis analyze_file_ctx(const std::string& path, const std::string& text) 
   rule_raw_sleep(&fa);
   rule_comm_entry(&fa);
   rule_checked_io(&fa);
+  rule_env_knob(&fa);
   return fa;
 }
 
@@ -802,7 +816,7 @@ std::string json_escape(const std::string& s) {
 
 std::vector<std::string> rule_ids() {
   return {"collective-divergence", "determinism", "payload-vector",
-          "raw-sleep", "comm-entry", "checked-io"};
+          "raw-sleep", "comm-entry", "checked-io", "env-knob"};
 }
 
 Report analyze_source(const std::string& path, const std::string& text, const Options& opts) {

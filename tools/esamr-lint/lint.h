@@ -19,6 +19,7 @@
 //   comm-entry             comm-entry declaration in par/comm.h or
 //                          par/request.h without a std::source_location
 //   checked-io             raw fopen/fwrite/fprintf outside io/checked_file.h
+//   env-knob               getenv in src/ (every env read is a runtime knob)
 //   suppression            malformed allow() comment (missing reason)
 //
 // Scoping is by path substring so the same engine runs over both the live

@@ -221,11 +221,8 @@ void mttr_body(par::Comm& c, resil::RecoveryContext& ctx, const forest::Connecti
     u.push_back(1.0 + t + 1e-6 * o.x + 1e-7 * o.y);
   });
   int k0 = 0;
-  int have = 0;
-  if (c.rank() == 0) have = ring.entries().empty() ? 0 : 1;
-  have = c.bcast(have, 0);
-  if (have != 0) {
-    auto r = resil::restore_latest<2>(c, conn, cid, ring);
+  if (resil::ring_probe(c, ring)) {
+    auto r = resil::restore_latest_chain<2>(c, conn, cid, ring);
     if (c.rank() == 0) ctx.record_restore(r.bytes_read);
     k0 = static_cast<int>(r.step) + 1;
     u = std::move(r.fields[0].data);

@@ -273,11 +273,8 @@ void MantleSimulation::run() {
   if (opt_.checkpoint_every > 0) {
     conn_id = resil::connectivity_id(conn_);
     ring = std::make_unique<resil::CheckpointRing>(opt_.checkpoint_dir, opt_.checkpoint_keep);
-    int have = 0;
-    if (comm_->rank() == 0) have = ring->entries().empty() ? 0 : 1;
-    have = comm_->bcast(have, 0);
-    if (have != 0) {
-      auto r = resil::restore_latest<2>(*comm_, conn_, conn_id, *ring);
+    if (resil::ring_probe(*comm_, *ring)) {
+      auto r = resil::restore_latest_chain<2>(*comm_, conn_, conn_id, *ring);
       forest_ = std::make_unique<forest::Forest<2>>(std::move(r.forest));
       // Both the lagged velocity and the stale strain rate must come back:
       // dynamic_adapt at iteration k+1 consumes the elem_eps_ computed at the

@@ -238,8 +238,7 @@ void Forest<Dim>::balance_single_pass_impl(const std::vector<std::vector<Oct>>* 
         } else {
           for (int r = r0; r <= r1; ++r) {
             if (r == me) continue;
-            send[static_cast<std::size_t>(r)].push_back(
-                OctMsg{t, b.x, b.y, Dim == 3 ? b.z : 0, b.level});
+            send[static_cast<std::size_t>(r)].push_back(to_msg(t, b));
           }
           if (r0 <= me && me <= r1) {
             cons[static_cast<std::size_t>(t)].push_back(b);
@@ -270,12 +269,7 @@ void Forest<Dim>::balance_single_pass_impl(const std::vector<std::vector<Oct>>* 
   for (const auto& from : recv) {
     for (const OctMsg& m : from) {
       ops.balance_octants_recv++;
-      Oct o;
-      o.x = m.x;
-      o.y = m.y;
-      if constexpr (Dim == 3) o.z = m.z;
-      o.level = static_cast<std::int8_t>(m.level);
-      cons[static_cast<std::size_t>(m.tree)].push_back(o);
+      cons[static_cast<std::size_t>(m.tree)].push_back(from_msg<Dim>(m));
     }
   }
 
@@ -388,8 +382,7 @@ void Forest<Dim>::balance_ripple() {
         } else {
           const Shadow<Dim> s{t2, n};
           if (outgoing_seen.insert(s).second) {
-            send[static_cast<std::size_t>(r)].push_back(
-                OctMsg{t2, n.x, n.y, Dim == 3 ? n.z : 0, n.level});
+            send[static_cast<std::size_t>(r)].push_back(to_msg(t2, n));
           }
         }
       }
@@ -450,12 +443,7 @@ void Forest<Dim>::balance_ripple() {
     for (const auto& from : recv) {
       for (const OctMsg& m : from) {
         ops.balance_octants_recv++;
-        Oct o;
-        o.x = m.x;
-        o.y = m.y;
-        if constexpr (Dim == 3) o.z = m.z;
-        o.level = static_cast<std::int8_t>(m.level);
-        const Shadow<Dim> s{m.tree, o};
+        const Shadow<Dim> s{m.tree, from_msg<Dim>(m)};
         if (foreign_seen.insert(s).second) {
           queue.push_back(s);
           got_new = true;

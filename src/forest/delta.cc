@@ -55,19 +55,13 @@ DeltaSet<Dim> DeltaSet<Dim>::replicated(par::Comm& comm) const {
   std::vector<OctMsg> flat;
   for (std::size_t t = 0; t < regions.size(); ++t) {
     for (const Oct& o : regions[t]) {
-      flat.push_back(OctMsg{static_cast<std::int32_t>(t), o.x, o.y, Dim == 3 ? o.z : 0,
-                            o.level});
+      flat.push_back(to_msg(static_cast<int>(t), o));
     }
   }
   DeltaSet out(static_cast<int>(regions.size()));
   for (const auto& from : comm.allgatherv(flat)) {
     for (const OctMsg& m : from) {
-      Oct o;
-      o.x = m.x;
-      o.y = m.y;
-      if constexpr (Dim == 3) o.z = m.z;
-      o.level = static_cast<std::int8_t>(m.level);
-      out.regions[static_cast<std::size_t>(m.tree)].push_back(o);
+      out.regions[static_cast<std::size_t>(m.tree)].push_back(from_msg<Dim>(m));
     }
   }
   out.normalized_ = false;

@@ -317,7 +317,7 @@ void Forest<Dim>::partition_payload(const std::function<double(int, const Oct&)>
   for (int t = 0; t < num_trees(); ++t) {
     for (const Oct& o : trees_[static_cast<std::size_t>(t)]) {
       const auto d = static_cast<std::size_t>(dest[i]);
-      send[d].push_back(OctMsg{t, o.x, o.y, Dim == 3 ? o.z : 0, o.level});
+      send[d].push_back(to_msg(t, o));
       if (per_oct > 0) {
         const double* block = data.data() + i * static_cast<std::size_t>(per_oct);
         send_data[d].insert(send_data[d].end(), block, block + per_oct);
@@ -338,12 +338,7 @@ void Forest<Dim>::partition_payload(const std::function<double(int, const Oct&)>
   for (auto& tr : trees_) tr.clear();
   for (const auto& from : recv) {
     for (const OctMsg& m : from) {
-      Oct o;
-      o.x = m.x;
-      o.y = m.y;
-      if constexpr (Dim == 3) o.z = m.z;
-      o.level = static_cast<std::int8_t>(m.level);
-      trees_[static_cast<std::size_t>(m.tree)].push_back(o);
+      trees_[static_cast<std::size_t>(m.tree)].push_back(from_msg<Dim>(m));
     }
   }
   if (per_oct > 0) {
@@ -381,25 +376,18 @@ void Forest<Dim>::partition_for_coarsening() {
     std::vector<OctMsg> head, tail;
     for (std::size_t i = 0; i < std::min<std::size_t>(nc - 1, flat.size()); ++i) {
       const auto& [t, o] = flat[i];
-      head.push_back(OctMsg{t, o.x, o.y, Dim == 3 ? o.z : 0, o.level});
+      head.push_back(to_msg(t, o));
     }
     for (std::size_t i = flat.size() - std::min<std::size_t>(nc - 1, flat.size());
          i < flat.size(); ++i) {
       const auto& [t, o] = flat[i];
-      tail.push_back(OctMsg{t, o.x, o.y, Dim == 3 ? o.z : 0, o.level});
+      tail.push_back(to_msg(t, o));
     }
     if (me > 0) comm_->send(me - 1, 101, head);
     if (me < p - 1) comm_->send(me + 1, 102, tail);
     const auto unpack = [&](const par::Message& msg) {
       std::vector<std::pair<int, Oct>> out;
-      for (const OctMsg& m : msg.as<OctMsg>()) {
-        Oct o;
-        o.x = m.x;
-        o.y = m.y;
-        if constexpr (Dim == 3) o.z = m.z;
-        o.level = static_cast<std::int8_t>(m.level);
-        out.emplace_back(m.tree, o);
-      }
+      for (const OctMsg& m : msg.as<OctMsg>()) out.emplace_back(m.tree, from_msg<Dim>(m));
       return out;
     };
     std::vector<std::pair<int, Oct>> prev_tail, next_head;
@@ -451,19 +439,13 @@ void Forest<Dim>::partition_for_coarsening() {
     const int dest = static_cast<int>(std::upper_bound(bound.begin(), bound.end(), g) -
                                       bound.begin()) - 1;
     const auto& [t, o] = flat[static_cast<std::size_t>(g - g0)];
-    send[static_cast<std::size_t>(std::min(dest, p - 1))].push_back(
-        OctMsg{t, o.x, o.y, Dim == 3 ? o.z : 0, o.level});
+    send[static_cast<std::size_t>(std::min(dest, p - 1))].push_back(to_msg(t, o));
   }
   const auto recv = comm_->alltoallv(send);
   for (auto& tr : trees_) tr.clear();
   for (const auto& from : recv) {
     for (const OctMsg& m : from) {
-      Oct o;
-      o.x = m.x;
-      o.y = m.y;
-      if constexpr (Dim == 3) o.z = m.z;
-      o.level = static_cast<std::int8_t>(m.level);
-      trees_[static_cast<std::size_t>(m.tree)].push_back(o);
+      trees_[static_cast<std::size_t>(m.tree)].push_back(from_msg<Dim>(m));
     }
   }
   update_partition_meta();
@@ -491,16 +473,7 @@ void Forest<Dim>::search(const std::function<bool(int, const Oct&, bool)>& visit
 
 template <int Dim>
 bool Forest<Dim>::is_valid_local() const {
-  for (const auto& leaves : trees_) {
-    for (std::size_t i = 0; i < leaves.size(); ++i) {
-      if (!leaves[i].inside_root()) return false;
-      if (i > 0) {
-        if (!(leaves[i - 1] < leaves[i])) return false;
-        if (leaves[i - 1].overlaps(leaves[i])) return false;
-      }
-    }
-  }
-  return true;
+  return std::all_of(trees_.begin(), trees_.end(), is_linear_octree<Dim>);
 }
 
 template <int Dim>

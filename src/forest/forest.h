@@ -35,12 +35,45 @@ struct SfcPosition {
   friend constexpr auto operator<=>(const SfcPosition&, const SfcPosition&) = default;
 };
 
-/// Serialized octant for inter-rank transfer.
+/// Serialized octant for inter-rank transfer and checkpoint files.
 struct OctMsg {
   std::int32_t tree;
   std::int32_t x, y, z;
   std::int32_t level;
+  friend constexpr bool operator==(const OctMsg&, const OctMsg&) = default;
 };
+
+template <int Dim>
+constexpr OctMsg to_msg(int tree, const Octant<Dim>& o) {
+  return OctMsg{tree, o.x, o.y, Dim == 3 ? o.z : 0, o.level};
+}
+
+/// Inverse of to_msg for the octant part. The level is narrowed unchecked:
+/// a decoder of untrusted records range-checks it first.
+template <int Dim>
+constexpr Octant<Dim> from_msg(const OctMsg& m) {
+  Octant<Dim> o;
+  o.x = m.x;
+  o.y = m.y;
+  if constexpr (Dim == 3) o.z = m.z;
+  o.level = static_cast<std::int8_t>(m.level);
+  return o;
+}
+
+/// One tree's linear-octree invariant, checked by Forest::is_valid_local and
+/// by the checkpoint decoder: every leaf has a legal level, is aligned to its
+/// size and lies inside the root, and the leaves run in strictly increasing,
+/// non-overlapping SFC order.
+template <int Dim>
+bool is_linear_octree(const std::vector<Octant<Dim>>& leaves) {
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    const Octant<Dim>& o = leaves[i];
+    if (o.level < 0 || o.level > Octant<Dim>::max_level) return false;
+    if (((o.x | o.y | o.z) & (o.size() - 1)) != 0 || !o.inside_root()) return false;
+    if (i > 0 && (!(leaves[i - 1] < o) || leaves[i - 1].overlaps(o))) return false;
+  }
+  return true;
+}
 
 template <int Dim>
 class Forest {
@@ -188,7 +221,8 @@ class Forest {
   /// leaf reached, with is_leaf = true (return value ignored there).
   void search(const std::function<bool(int tree, const Oct&, bool is_leaf)>& visit) const;
 
-  /// Local structural invariants: per-tree arrays sorted and non-overlapping.
+  /// Local structural invariants: every tree's leaves are a linear octree
+  /// (is_linear_octree).
   bool is_valid_local() const;
 
   /// Order- and partition-independent global checksum over all leaves.

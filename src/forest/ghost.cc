@@ -171,8 +171,7 @@ GhostLayer<Dim> ghost_scan(const Forest<Dim>& forest, int layers,
           layer.mirrors.push_back(Mirror{o, t, li});
         }
         layer.mirror_lists[static_cast<std::size_t>(r)].push_back(mi2);
-        send[static_cast<std::size_t>(r)].push_back(
-            OctMsg{t, o.x, o.y, Dim == 3 ? o.z : 0, o.level});
+        send[static_cast<std::size_t>(r)].push_back(to_msg(t, o));
       }
       ++li;
       return;
@@ -190,7 +189,7 @@ GhostLayer<Dim> ghost_scan(const Forest<Dim>& forest, int layers,
         layer.mirrors.push_back(Mirror{o, t, li});
       }
       layer.mirror_lists[static_cast<std::size_t>(r)].push_back(mi);
-      send[static_cast<std::size_t>(r)].push_back(OctMsg{t, o.x, o.y, Dim == 3 ? o.z : 0, o.level});
+      send[static_cast<std::size_t>(r)].push_back(to_msg(t, o));
     }
     ++li;
   });
@@ -278,8 +277,7 @@ GhostLayer<Dim> ghost_scan_cached(const Forest<Dim>& forest, const GhostScanCach
           layer.mirrors.push_back(Mirror{o, t, li});
         }
         layer.mirror_lists[static_cast<std::size_t>(r)].push_back(mi);
-        send[static_cast<std::size_t>(r)].push_back(
-            OctMsg{t, o.x, o.y, Dim == 3 ? o.z : 0, o.level});
+        send[static_cast<std::size_t>(r)].push_back(to_msg(t, o));
       }
       ++li;
     }
@@ -294,12 +292,7 @@ void ghost_append(GhostLayer<Dim>& layer, int r, std::span<const OctMsg> from) {
   layer.rank_offset[static_cast<std::size_t>(r) + 1] =
       layer.rank_offset[static_cast<std::size_t>(r)] + from.size();
   for (const OctMsg& m : from) {
-    Octant<Dim> o;
-    o.x = m.x;
-    o.y = m.y;
-    if constexpr (Dim == 3) o.z = m.z;
-    o.level = static_cast<std::int8_t>(m.level);
-    layer.ghosts.push_back(typename GhostLayer<Dim>::GhostOct{o, m.tree, r});
+    layer.ghosts.push_back(typename GhostLayer<Dim>::GhostOct{from_msg<Dim>(m), m.tree, r});
   }
 }
 
@@ -391,11 +384,7 @@ GhostLayer<Dim> GhostLayer<Dim>::build_incremental(const Forest<Dim>& forest,
     bool same = !buf.empty() && buf.size() == list.size();
     for (std::size_t i = 0; same && i < buf.size(); ++i) {
       const auto& m = prev.mirrors[static_cast<std::size_t>(list[i])];
-      OctMsg pm{m.tree, m.oct.x, m.oct.y, 0, m.oct.level};
-      if constexpr (Dim == 3) pm.z = m.oct.z;
-      const OctMsg& b = buf[i];
-      same = pm.tree == b.tree && pm.x == b.x && pm.y == b.y && pm.z == b.z &&
-             pm.level == b.level;
+      same = to_msg(m.tree, m.oct) == buf[i];
     }
     if (same) buf.assign(1, OctMsg{-1, 0, 0, 0, 0});
   }

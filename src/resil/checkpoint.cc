@@ -1,14 +1,15 @@
 #include "resil/checkpoint.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-
-#include <array>
+#include <string_view>
+#include <type_traits>
 
 #include "forest/stats.h"
 #include "io/checked_file.h"
@@ -50,27 +51,32 @@ struct SectionDesc {
 };
 static_assert(sizeof(SectionDesc) == 48 && std::is_trivially_copyable_v<SectionDesc>);
 
-/// Fully validated in-memory snapshot (rank 0 only).
+/// Section names the container itself uses; every other section is a
+/// per-octant field, so no field may take one of these names. Full snapshots
+/// carry the first two, deltas the last three.
+constexpr std::array<std::string_view, 5> reserved_sections = {"ranges", "octants", "dmeta",
+                                                               "dregions", "doctants"};
+constexpr unsigned full_sections = 0b00011;   // bit i: reserved_sections[i] present
+constexpr unsigned delta_sections = 0b11100;
+
+template <int Dim>
+using Trees = std::vector<std::vector<forest::Octant<Dim>>>;
+
+/// Fully validated in-memory checkpoint (rank 0 only): a full snapshot, or a
+/// delta whose `octants` are the leaves inside `regions` at write time.
+template <int Dim>
 struct Image {
   std::uint64_t step = 0;
   std::int64_t bytes_read = 0;
-  std::uint32_t header_crc = 0;         ///< this file's header CRC (chain link)
-  std::vector<forest::OctMsg> octants;  ///< global SFC sequence
-  std::vector<NamedField> fields;       ///< global (all-octant) data
-};
-
-/// Fully validated in-memory delta checkpoint (rank 0 only). `octants` holds
-/// the leaves inside the delta regions at write time; `fields` their values.
-struct DeltaImage {
-  std::uint64_t step = 0;
-  std::int64_t bytes_read = 0;
-  std::uint32_t header_crc = 0;
-  std::uint64_t base_seq = 0;  ///< seq of the full-snapshot anchor
-  std::uint64_t prev_seq = 0;  ///< seq of the immediate predecessor entry
-  std::uint64_t prev_crc = 0;  ///< predecessor's header CRC
-  std::vector<forest::OctMsg> regions;
-  std::vector<forest::OctMsg> octants;
-  std::vector<NamedField> fields;
+  std::uint32_t header_crc = 0;  ///< this file's header CRC (chain link)
+  // Delta only: the chain link (seq of the full-snapshot anchor, seq and
+  // header CRC of the immediate predecessor) and the change regions.
+  std::uint64_t base_seq = 0;
+  std::uint64_t prev_seq = 0;
+  std::uint64_t prev_crc = 0;
+  Trees<Dim> regions;
+  Trees<Dim> octants;              ///< per-tree leaves, each a linear octree
+  std::vector<NamedField> fields;  ///< values on `octants` in (tree, SFC) order
 };
 
 [[noreturn]] void corrupt(const std::string& path, const std::string& what) {
@@ -119,32 +125,75 @@ void apply_disk_fault(const std::string& tmp, par::detail::DiskFault fault, std:
   fp.close();
 }
 
-SectionDesc make_desc(const std::string& name, std::uint64_t offset, const void* data,
-                      std::uint64_t nbytes, std::uint32_t aux) {
-  SectionDesc d{};
-  std::snprintf(d.name, sizeof(d.name), "%s", name.c_str());
-  d.offset = offset;
-  d.nbytes = nbytes;
-  d.crc = crc32c(data, nbytes);
-  d.aux = aux;
-  return d;
-}
-
-/// Read and CRC-validate a snapshot on the calling rank (no communication).
-Image load_image(const std::string& path, int dim, std::uint64_t conn_id, int num_trees) {
-  io::CheckedFile fp(path, "rb");
-  const long fsize = fp.size();
-  if (fsize < static_cast<long>(sizeof(Header))) corrupt(path, "file shorter than header");
-
+/// Read a header and check its magic and CRC (the only checks that need no
+/// knowledge of the forest it describes).
+Header read_header(io::CheckedFile& fp, const std::string& path) {
+  if (fp.size() < static_cast<long>(sizeof(Header))) corrupt(path, "file shorter than header");
   Header h{};
   fp.read_exact(&h, sizeof(h));
   if (std::memcmp(h.magic, magic_bytes, sizeof(magic_bytes)) != 0) corrupt(path, "bad magic");
   if (crc32c(&h, header_crc_span) != h.header_crc) corrupt(path, "header CRC mismatch");
+  return h;
+}
+
+/// Decode a section of OctMsg records into per-tree leaves, rejecting every
+/// record that cannot be a leaf of this connectivity: tree and level are
+/// range-checked on the int32 before narrowing, records run in
+/// non-decreasing tree order, and each tree's leaves form a linear octree.
+template <int Dim>
+Trees<Dim> decode_octants(const std::string& path, const std::string& name,
+                          const std::vector<std::byte>& buf, int num_trees) {
+  Trees<Dim> trees(static_cast<std::size_t>(num_trees));
+  std::int32_t last_tree = 0;
+  for (std::size_t i = 0; i < buf.size() / sizeof(forest::OctMsg); ++i) {
+    forest::OctMsg m;
+    std::memcpy(&m, buf.data() + i * sizeof(m), sizeof(m));
+    if (m.tree < last_tree || m.tree >= num_trees) {
+      corrupt(path, "'" + name + "' record " + std::to_string(i) + " names tree " +
+                        std::to_string(m.tree) + " out of order or outside the connectivity");
+    }
+    if (m.level < 0 || m.level > forest::Octant<Dim>::max_level) {
+      corrupt(path, "'" + name + "' record " + std::to_string(i) + " has level " +
+                        std::to_string(m.level));
+    }
+    last_tree = m.tree;
+    trees[static_cast<std::size_t>(m.tree)].push_back(forest::from_msg<Dim>(m));
+  }
+  for (std::size_t t = 0; t < trees.size(); ++t) {
+    if (!forest::is_linear_octree(trees[t])) {
+      corrupt(path, "'" + name + "' leaves of tree " + std::to_string(t) +
+                        " are misaligned, outside the root or out of SFC order");
+    }
+  }
+  return trees;
+}
+
+/// True iff the leaves of one tree's linear octree tile the whole root:
+/// their volumes, counted in finest-level cells, sum to the root's.
+template <int Dim>
+bool covers_root(const std::vector<forest::Octant<Dim>>& leaves) {
+  constexpr int max_level = forest::Octant<Dim>::max_level;
+  std::uint64_t cells = 0;
+  for (const auto& o : leaves) cells += std::uint64_t{1} << (Dim * (max_level - o.level));
+  return cells == std::uint64_t{1} << (Dim * max_level);
+}
+
+/// Read and validate a full snapshot (`delta` false) or a delta checkpoint
+/// on the calling rank (no communication): header, descriptor bounds, every
+/// section CRC, section sizes, every octant record, and (full snapshots)
+/// that every tree is covered. Restore, the ring
+/// walk and the write-verify pass all read through here.
+template <int Dim>
+Image<Dim> load_image(const std::string& path, bool delta, std::uint64_t conn_id,
+                      int num_trees) {
+  io::CheckedFile fp(path, "rb");
+  const long fsize = fp.size();
+  const Header h = read_header(fp, path);
   if (h.version != checkpoint_format_version) {
     throw std::runtime_error("checkpoint " + path + ": unsupported format version " +
                              std::to_string(h.version));
   }
-  if (h.dim != static_cast<std::uint32_t>(dim) ||
+  if (h.dim != static_cast<std::uint32_t>(Dim) ||
       h.num_trees != static_cast<std::uint32_t>(num_trees) || h.conn_id != conn_id) {
     throw std::runtime_error("checkpoint " + path +
                              ": snapshot does not match this forest (dim/trees/connectivity)");
@@ -159,12 +208,12 @@ Image load_image(const std::string& path, int dim, std::uint64_t conn_id, int nu
   fp.read_exact(descs.data(), descs.size() * sizeof(SectionDesc));
   const std::uint64_t data_start = sizeof(Header) + descs.size() * sizeof(SectionDesc);
 
-  Image img;
+  Image<Dim> img;
   img.step = h.step;
   img.bytes_read = fsize;
   img.header_crc = h.header_crc;
-  bool have_ranges = false, have_octants = false;
-  std::vector<std::uint64_t> writer_counts;
+  unsigned seen = 0;
+  std::uint64_t ranges_total = 0;
   for (const SectionDesc& d : descs) {
     const std::string name(d.name, strnlen(d.name, sizeof(d.name)));
     if (d.offset < data_start || d.nbytes > static_cast<std::uint64_t>(fsize) ||
@@ -181,117 +230,38 @@ Image load_image(const std::string& path, int dim, std::uint64_t conn_id, int nu
                     "CRC mismatch in section '%s' at offset %llu (stored 0x%08x, computed 0x%08x)",
                     name.c_str(), static_cast<unsigned long long>(d.offset), d.crc, got);
       corrupt(path, msg);
+    }
+    const auto reserved = static_cast<std::size_t>(
+        std::find(reserved_sections.begin(), reserved_sections.end(), name) -
+        reserved_sections.begin());
+    if (reserved < reserved_sections.size()) {
+      if ((seen >> reserved) & 1u) corrupt(path, "duplicate section '" + name + "'");
+      seen |= 1u << reserved;
     }
     if (name == "ranges") {
       if (d.nbytes != h.writer_ranks * sizeof(std::uint64_t)) {
         corrupt(path, "'ranges' section size does not match writer rank count");
       }
-      writer_counts.resize(h.writer_ranks);
-      std::memcpy(writer_counts.data(), buf.data(), buf.size());
-      have_ranges = true;
-    } else if (name == "octants") {
+      std::vector<std::uint64_t> counts(h.writer_ranks);
+      std::memcpy(counts.data(), buf.data(), buf.size());
+      for (const std::uint64_t c : counts) ranges_total += c;
+    } else if (name == "octants" || name == "doctants") {
       if (!holds_exactly(d.nbytes, h.num_octants, sizeof(forest::OctMsg))) {
-        corrupt(path, "'octants' section size does not match octant count");
+        corrupt(path, "'" + name + "' section size does not match octant count");
       }
-      img.octants.resize(h.num_octants);
-      std::memcpy(img.octants.data(), buf.data(), buf.size());
-      have_octants = true;
-    } else {
-      if (d.aux == 0 || !holds_exactly(d.nbytes, h.num_octants, d.aux * sizeof(double))) {
-        corrupt(path, "field section '" + name + "' has inconsistent size");
+      img.octants = decode_octants<Dim>(path, name, buf, num_trees);
+    } else if (name == "dregions") {
+      if (d.nbytes % sizeof(forest::OctMsg) != 0) {
+        corrupt(path, "'dregions' section size is not a whole record count");
       }
-      NamedField f;
-      f.name = name;
-      f.per_oct = static_cast<int>(d.aux);
-      f.data.resize(h.num_octants * d.aux);
-      std::memcpy(f.data.data(), buf.data(), buf.size());
-      img.fields.push_back(std::move(f));
-    }
-  }
-  if (!have_ranges || !have_octants) corrupt(path, "missing 'ranges' or 'octants' section");
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : writer_counts) total += c;
-  if (total != h.num_octants) corrupt(path, "'ranges' does not sum to the octant count");
-  return img;
-}
-
-/// Read and CRC-validate a delta checkpoint on the calling rank. Shares the
-/// container format with full snapshots; the payload is the "dmeta" chain
-/// link, the replicated delta regions, the leaves inside them, and the field
-/// values on exactly those leaves.
-DeltaImage load_delta_image(const std::string& path, int dim, std::uint64_t conn_id,
-                            int num_trees) {
-  io::CheckedFile fp(path, "rb");
-  const long fsize = fp.size();
-  if (fsize < static_cast<long>(sizeof(Header))) corrupt(path, "file shorter than header");
-
-  Header h{};
-  fp.read_exact(&h, sizeof(h));
-  if (std::memcmp(h.magic, magic_bytes, sizeof(magic_bytes)) != 0) corrupt(path, "bad magic");
-  if (crc32c(&h, header_crc_span) != h.header_crc) corrupt(path, "header CRC mismatch");
-  if (h.version != checkpoint_format_version) {
-    throw std::runtime_error("checkpoint " + path + ": unsupported format version " +
-                             std::to_string(h.version));
-  }
-  if (h.dim != static_cast<std::uint32_t>(dim) ||
-      h.num_trees != static_cast<std::uint32_t>(num_trees) || h.conn_id != conn_id) {
-    throw std::runtime_error("checkpoint " + path +
-                             ": snapshot does not match this forest (dim/trees/connectivity)");
-  }
-
-  // The header CRC covers num_sections but not its plausibility: bound it by
-  // the file before allocating the descriptor table.
-  if (h.num_sections > (static_cast<std::uint64_t>(fsize) - sizeof(Header)) / sizeof(SectionDesc)) {
-    corrupt(path, "section table extends past end of file");
-  }
-  std::vector<SectionDesc> descs(h.num_sections);
-  fp.read_exact(descs.data(), descs.size() * sizeof(SectionDesc));
-  const std::uint64_t data_start = sizeof(Header) + descs.size() * sizeof(SectionDesc);
-
-  DeltaImage img;
-  img.step = h.step;
-  img.bytes_read = fsize;
-  img.header_crc = h.header_crc;
-  bool have_meta = false, have_regions = false, have_octants = false;
-  for (const SectionDesc& d : descs) {
-    const std::string name(d.name, strnlen(d.name, sizeof(d.name)));
-    if (d.offset < data_start || d.nbytes > static_cast<std::uint64_t>(fsize) ||
-        d.offset > static_cast<std::uint64_t>(fsize) - d.nbytes) {
-      corrupt(path, "section '" + name + "' extends past end of file");
-    }
-    std::vector<std::byte> buf(d.nbytes);
-    fp.seek(static_cast<long>(d.offset));
-    fp.read_exact(buf.data(), buf.size());
-    const std::uint32_t got = crc32c(buf.data(), buf.size());
-    if (got != d.crc) {
-      char msg[160];
-      std::snprintf(msg, sizeof(msg),
-                    "CRC mismatch in section '%s' at offset %llu (stored 0x%08x, computed 0x%08x)",
-                    name.c_str(), static_cast<unsigned long long>(d.offset), d.crc, got);
-      corrupt(path, msg);
-    }
-    if (name == "dmeta") {
+      img.regions = decode_octants<Dim>(path, name, buf, num_trees);
+    } else if (name == "dmeta") {
       if (d.nbytes != 3 * sizeof(std::uint64_t)) corrupt(path, "'dmeta' section has wrong size");
       std::uint64_t m[3];
       std::memcpy(m, buf.data(), sizeof(m));
       img.base_seq = m[0];
       img.prev_seq = m[1];
       img.prev_crc = m[2];
-      have_meta = true;
-    } else if (name == "dregions") {
-      if (d.nbytes % sizeof(forest::OctMsg) != 0) {
-        corrupt(path, "'dregions' section size is not a whole record count");
-      }
-      img.regions.resize(d.nbytes / sizeof(forest::OctMsg));
-      std::memcpy(img.regions.data(), buf.data(), buf.size());
-      have_regions = true;
-    } else if (name == "doctants") {
-      if (!holds_exactly(d.nbytes, h.num_octants, sizeof(forest::OctMsg))) {
-        corrupt(path, "'doctants' section size does not match octant count");
-      }
-      img.octants.resize(h.num_octants);
-      std::memcpy(img.octants.data(), buf.data(), buf.size());
-      have_octants = true;
     } else {
       if (d.aux == 0 || !holds_exactly(d.nbytes, h.num_octants, d.aux * sizeof(double))) {
         corrupt(path, "field section '" + name + "' has inconsistent size");
@@ -304,8 +274,16 @@ DeltaImage load_delta_image(const std::string& path, int dim, std::uint64_t conn
       img.fields.push_back(std::move(f));
     }
   }
-  if (!have_meta || !have_regions || !have_octants) {
-    corrupt(path, "missing 'dmeta', 'dregions' or 'doctants' section");
+  if (seen != (delta ? delta_sections : full_sections)) {
+    corrupt(path, delta ? "missing or foreign sections for a delta ('dmeta', 'dregions', "
+                          "'doctants')"
+                        : "missing or foreign sections for a full snapshot ('ranges', 'octants')");
+  }
+  if (!delta && ranges_total != h.num_octants) {
+    corrupt(path, "'ranges' does not sum to the octant count");
+  }
+  if (!delta && !std::all_of(img.octants.begin(), img.octants.end(), covers_root<Dim>)) {
+    corrupt(path, "'octants' leave part of a tree uncovered");
   }
   return img;
 }
@@ -315,22 +293,17 @@ DeltaImage load_delta_image(const std::string& path, int dim, std::uint64_t conn
 bool peek_header_crc(const std::string& path, std::uint32_t& out) {
   try {
     io::CheckedFile fp(path, "rb");
-    if (fp.size() < static_cast<long>(sizeof(Header))) return false;
-    Header h{};
-    fp.read_exact(&h, sizeof(h));
-    if (std::memcmp(h.magic, magic_bytes, sizeof(magic_bytes)) != 0) return false;
-    if (crc32c(&h, header_crc_span) != h.header_crc) return false;
-    out = h.header_crc;
+    out = read_header(fp, path).header_crc;
     return true;
   } catch (const std::exception&) {
     return false;
   }
 }
 
-/// Rank-0 atomic publish with write-then-reread-verify, shared by the full
-/// and delta writers: assemble under a temp name via `write_body`, reread the
-/// temp through `verify` (which must throw on bad bytes — the same CRC
-/// validation restore uses), and only then rename over the target. Injected
+/// Rank-0 atomic publish with write-then-reread-verify: assemble under a
+/// temp name via `write_body`, reread the temp through `verify` (which must
+/// throw on bad bytes — write_image passes load_image, the validation
+/// restore uses), and only then rename over the target. Injected
 /// disk faults (torn tail, truncation, transient EIO) are keyed on
 /// (seed, step, attempt), so each retry draws a fresh hash and the bounded
 /// loop converges; persistent failure throws CheckpointCorrupt.
@@ -380,7 +353,8 @@ void publish_verified(const std::string& path, std::uint64_t step, const par::In
 
 /// Pack restore metadata (step, bytes, field names/widths) for the bcast
 /// that tells non-root ranks what the snapshot contains.
-std::vector<std::byte> pack_meta(const Image& img) {
+template <int Dim>
+std::vector<std::byte> pack_meta(const Image<Dim>& img) {
   std::vector<std::byte> out;
   const auto put = [&out](const void* p, std::size_t n) {
     const auto* b = static_cast<const std::byte*>(p);
@@ -432,29 +406,17 @@ Meta unpack_meta(const std::vector<std::byte>& in) {
 /// builds a forest (empty away from rank 0) and the existing partition path
 /// redistributes octants and interleaved fields to the canonical SFC split.
 template <int Dim>
-Restored<Dim> distribute(par::Comm& comm, const forest::Connectivity<Dim>& conn, Image&& img) {
+Restored<Dim> distribute(par::Comm& comm, const forest::Connectivity<Dim>& conn,
+                         Image<Dim>&& img) {
   std::vector<std::byte> meta;
   if (comm.rank() == 0) meta = pack_meta(img);
   comm.bcast_bytes(meta, 0);
   const Meta m = unpack_meta(meta);
 
-  std::vector<std::vector<forest::Octant<Dim>>> trees(
-      static_cast<std::size_t>(conn.num_trees()));
-  if (comm.rank() == 0) {
-    for (const forest::OctMsg& om : img.octants) {
-      if (om.tree < 0 || om.tree >= conn.num_trees()) {
-        throw CheckpointCorrupt("checkpoint: octant names tree " + std::to_string(om.tree) +
-                                " outside the connectivity");
-      }
-      forest::Octant<Dim> o;
-      o.x = om.x;
-      o.y = om.y;
-      if constexpr (Dim == 3) o.z = om.z;
-      o.level = static_cast<std::int8_t>(om.level);
-      trees[static_cast<std::size_t>(om.tree)].push_back(o);
-    }
-  }
-
+  Trees<Dim> trees = comm.rank() == 0 ? std::move(img.octants)
+                                      : Trees<Dim>(static_cast<std::size_t>(conn.num_trees()));
+  std::size_t n0 = 0;
+  for (const auto& leaves : trees) n0 += leaves.size();
   Restored<Dim> out{forest::Forest<Dim>::from_local_leaves(comm, &conn, std::move(trees)),
                     {},
                     m.step,
@@ -470,7 +432,6 @@ Restored<Dim> distribute(par::Comm& comm, const forest::Connectivity<Dim>& conn,
   // Interleave all fields per octant so one partition_payload call carries
   // every field with the octants (a second call would move nothing: the
   // partition is already canonical after the first).
-  const std::size_t n0 = static_cast<std::size_t>(comm.rank() == 0 ? img.octants.size() : 0);
   std::vector<double> payload(n0 * static_cast<std::size_t>(total_per_oct));
   if (comm.rank() == 0) {
     std::size_t off = 0;
@@ -512,6 +473,178 @@ std::uint64_t parse_seq(const fs::path& p) {
   return std::stoull(stem.substr(5));
 }
 
+/// Reject field names a descriptor cannot hold or the container reserves,
+/// and fields whose size does not match the local forest.
+void check_fields(const std::vector<NamedField>& fields, std::size_t n_local) {
+  for (const NamedField& fld : fields) {
+    if (fld.name.empty() || fld.name.size() > max_section_name ||
+        std::find(reserved_sections.begin(), reserved_sections.end(), fld.name) !=
+            reserved_sections.end()) {
+      throw std::runtime_error("checkpoint: bad field name '" + fld.name + "'");
+    }
+    if (fld.per_oct <= 0 || fld.data.size() != n_local * static_cast<std::size_t>(fld.per_oct)) {
+      throw std::runtime_error("checkpoint: field '" + fld.name +
+                               "' size does not match the local forest");
+    }
+  }
+}
+
+/// One payload of a checkpoint file.
+struct Section {
+  std::string_view name;
+  const void* data;
+  std::uint64_t nbytes;
+  std::uint32_t aux;  ///< per-octant double count for field sections, else 0
+};
+
+/// Collective: the one container writer behind full and delta checkpoints.
+/// Every rank contributes `octs` (its leaves to store, in local SFC order)
+/// and `fields` (their values, same order); rank 0 concatenates both in rank
+/// order — the global SFC order — and lays out the replicated `head`
+/// sections, the octant section and one section per field, each sealed with
+/// its CRC32C, then publishes the file at `path` (rank 0 only) through
+/// write-then-reread-verify.
+template <int Dim>
+void write_image(const forest::Forest<Dim>& f, std::uint64_t conn_id, std::uint64_t step,
+                 bool delta, std::vector<Section> head, const std::vector<forest::OctMsg>& octs,
+                 const std::vector<NamedField>& fields, const std::string& path) {
+  par::Comm& comm = f.comm();
+  // The field vectors are rank-owned while the snapshot is gathered: every
+  // byte must travel through the allgatherv, never via direct peer reads.
+  std::vector<par::check::RegionGuard> field_guards;
+  if (par::check::enabled(comm)) {
+    field_guards.reserve(fields.size());
+    for (const NamedField& fld : fields) {
+      field_guards.emplace_back(comm, fld.data.data(), fld.data.size() * sizeof(double),
+                                "checkpoint field");
+    }
+  }
+  const auto oct_parts = comm.allgatherv(octs);
+  std::vector<std::vector<std::vector<double>>> field_parts;
+  field_parts.reserve(fields.size());
+  for (const NamedField& fld : fields) field_parts.push_back(comm.allgatherv(fld.data));
+
+  if (comm.rank() == 0) {
+    const auto concat = [](const auto& parts) {
+      std::remove_cvref_t<decltype(parts.front())> all;
+      for (const auto& part : parts) all.insert(all.end(), part.begin(), part.end());
+      return all;
+    };
+    const std::vector<forest::OctMsg> octants = concat(oct_parts);
+    std::vector<std::vector<double>> field_data;
+    for (const auto& parts : field_parts) field_data.push_back(concat(parts));
+    head.push_back({delta ? "doctants" : "octants", octants.data(),
+                    octants.size() * sizeof(forest::OctMsg), 0});
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      head.push_back({fields[i].name, field_data[i].data(), field_data[i].size() * sizeof(double),
+                      static_cast<std::uint32_t>(fields[i].per_oct)});
+    }
+
+    Header h{};
+    std::memcpy(h.magic, magic_bytes, sizeof(magic_bytes));
+    h.version = checkpoint_format_version;
+    h.dim = Dim;
+    h.writer_ranks = static_cast<std::uint32_t>(comm.size());
+    h.num_trees = static_cast<std::uint32_t>(f.num_trees());
+    h.conn_id = conn_id;
+    h.num_octants = octants.size();
+    h.step = step;
+    h.num_sections = static_cast<std::uint32_t>(head.size());
+    h.header_crc = crc32c(&h, header_crc_span);
+
+    std::vector<SectionDesc> descs;
+    std::uint64_t offset = sizeof(Header) + head.size() * sizeof(SectionDesc);
+    for (const Section& sec : head) {
+      SectionDesc d{};
+      std::snprintf(d.name, sizeof(d.name), "%.*s", static_cast<int>(sec.name.size()),
+                    sec.name.data());
+      d.offset = offset;
+      d.nbytes = sec.nbytes;
+      d.crc = crc32c(sec.data, sec.nbytes);
+      d.aux = sec.aux;
+      descs.push_back(d);
+      offset += sec.nbytes;
+    }
+
+    publish_verified(
+        path, step, comm.inject_config(),
+        [&](io::CheckedFile& fp) {
+          fp.write(&h, sizeof(h));
+          fp.write(descs.data(), descs.size() * sizeof(SectionDesc));
+          for (const Section& sec : head) fp.write(sec.data, sec.nbytes);
+        },
+        [&](const std::string& tmp) { load_image<Dim>(tmp, delta, conn_id, f.num_trees()); });
+  }
+  comm.barrier();  // checkpoint completion is a collective postcondition
+}
+
+/// Replay one validated delta on top of the in-memory base image: drop every
+/// base leaf covered by a delta region, then merge the delta's leaves (and
+/// their field values) back in by SFC order, tree by tree. The writer
+/// guarantees a delta's leaves are exactly the current leaves inside its
+/// regions, so the merge result is the full leaf sequence at the delta's
+/// step; a merge that is not a linear octree is rejected as corrupt.
+template <int Dim>
+void apply_delta(Image<Dim>& img, const Image<Dim>& d, const std::string& path) {
+  using Oct = forest::Octant<Dim>;
+  if (img.fields.size() != d.fields.size()) {
+    corrupt(path, "delta field set does not match the base snapshot");
+  }
+  for (std::size_t i = 0; i < d.fields.size(); ++i) {
+    if (img.fields[i].name != d.fields[i].name ||
+        img.fields[i].per_oct != d.fields[i].per_oct) {
+      corrupt(path, "delta field '" + d.fields[i].name + "' does not match the base snapshot");
+    }
+  }
+
+  std::vector<std::vector<double>> mdata(img.fields.size());
+  const auto take = [&](const std::vector<NamedField>& flds, std::size_t i) {
+    for (std::size_t fi = 0; fi < flds.size(); ++fi) {
+      const auto w = static_cast<std::size_t>(flds[fi].per_oct);
+      mdata[fi].insert(mdata[fi].end(),
+                       flds[fi].data.begin() + static_cast<std::ptrdiff_t>(i * w),
+                       flds[fi].data.begin() + static_cast<std::ptrdiff_t>((i + 1) * w));
+    }
+  };
+  std::size_t ib = 0, id = 0;  // leaf indices into the base / delta fields
+  for (std::size_t t = 0; t < img.octants.size(); ++t) {
+    const std::vector<Oct>& reg = d.regions[t];  // sorted and disjoint (decoded)
+    const std::vector<Oct>& base = img.octants[t];
+    const std::vector<Oct>& leaves = d.octants[t];
+    const auto covered = [&](const Oct& o) {
+      const auto it = std::upper_bound(reg.begin(), reg.end(), o);
+      if (it != reg.end() && o.contains(*it) && o.level < it->level) {
+        // A base leaf strictly coarser than a recorded region means the
+        // writer's change tracking missed a refinement under it.
+        corrupt(path, "delta region finer than a base leaf (incomplete tracking)");
+      }
+      return it != reg.begin() && std::prev(it)->contains(o);
+    };
+    std::vector<Oct> merged;
+    merged.reserve(base.size() + leaves.size());
+    std::size_t b = 0, e = 0;
+    while (b < base.size() || e < leaves.size()) {
+      if (b < base.size() && covered(base[b])) {
+        ++b;  // replaced by the delta's view of this region
+        ++ib;
+      } else if (e < leaves.size() && (b == base.size() || leaves[e] < base[b])) {
+        merged.push_back(leaves[e++]);
+        take(d.fields, id++);
+      } else {
+        merged.push_back(base[b++]);
+        take(img.fields, ib++);
+      }
+    }
+    if (!forest::is_linear_octree(merged) || !covers_root(merged)) {
+      corrupt(path, "delta leaves do not merge into a complete linear octree");
+    }
+    img.octants[t] = std::move(merged);
+  }
+  for (std::size_t fi = 0; fi < img.fields.size(); ++fi) {
+    img.fields[fi].data = std::move(mdata[fi]);
+  }
+}
+
 }  // namespace
 
 template <int Dim>
@@ -547,98 +680,24 @@ std::uint64_t connectivity_id(const forest::Connectivity<Dim>& conn) {
 template <int Dim>
 void write_checkpoint(const forest::Forest<Dim>& f, std::uint64_t conn_id, std::uint64_t step,
                       const std::vector<NamedField>& fields, const std::string& path) {
-  par::Comm& comm = f.comm();
-  const auto n_local = static_cast<std::size_t>(f.num_local());
-  for (const NamedField& fld : fields) {
-    if (fld.name.empty() || fld.name == "ranges" || fld.name == "octants" ||
-        fld.name.size() > max_section_name) {
-      throw std::runtime_error("write_checkpoint: bad field name '" + fld.name + "'");
-    }
-    if (fld.per_oct <= 0 || fld.data.size() != n_local * static_cast<std::size_t>(fld.per_oct)) {
-      throw std::runtime_error("write_checkpoint: field '" + fld.name +
-                               "' size does not match the local forest");
-    }
-  }
-
-  // Gather the global SFC sequence and every field (rank order = SFC order).
+  check_fields(fields, static_cast<std::size_t>(f.num_local()));
   std::vector<forest::OctMsg> local;
-  local.reserve(n_local);
+  local.reserve(static_cast<std::size_t>(f.num_local()));
   f.for_each_local([&local](int t, const forest::Octant<Dim>& o) {
-    local.push_back(forest::OctMsg{t, o.x, o.y, Dim == 3 ? o.z : 0, o.level});
+    local.push_back(forest::to_msg(t, o));
   });
-  // The field vectors are rank-owned while the snapshot is gathered: every
-  // byte must travel through the allgatherv, never via direct peer reads.
-  std::vector<par::check::RegionGuard> field_guards;
-  if (par::check::enabled(comm)) {
-    field_guards.reserve(fields.size());
-    for (const NamedField& fld : fields) {
-      field_guards.emplace_back(comm, fld.data.data(), fld.data.size() * sizeof(double),
-                                "checkpoint field");
-    }
-  }
-  const auto oct_parts = comm.allgatherv(local);
-  std::vector<std::vector<std::vector<double>>> field_parts;
-  field_parts.reserve(fields.size());
-  for (const NamedField& fld : fields) field_parts.push_back(comm.allgatherv(fld.data));
-
-  if (comm.rank() == 0) {
-    std::vector<forest::OctMsg> octants;
-    for (const auto& part : oct_parts) octants.insert(octants.end(), part.begin(), part.end());
-    std::vector<std::uint64_t> counts;
-    for (const std::int64_t c : f.global_counts()) counts.push_back(static_cast<std::uint64_t>(c));
-
-    Header h{};
-    std::memcpy(h.magic, magic_bytes, sizeof(magic_bytes));
-    h.version = checkpoint_format_version;
-    h.dim = Dim;
-    h.writer_ranks = static_cast<std::uint32_t>(comm.size());
-    h.num_trees = static_cast<std::uint32_t>(f.num_trees());
-    h.conn_id = conn_id;
-    h.num_octants = octants.size();
-    h.step = step;
-    h.num_sections = static_cast<std::uint32_t>(2 + fields.size());
-    h.header_crc = crc32c(&h, header_crc_span);
-
-    std::vector<std::vector<double>> field_data;
-    for (const auto& parts : field_parts) {
-      std::vector<double> all;
-      for (const auto& part : parts) all.insert(all.end(), part.begin(), part.end());
-      field_data.push_back(std::move(all));
-    }
-
-    std::vector<SectionDesc> descs;
-    std::uint64_t offset = sizeof(Header) + h.num_sections * sizeof(SectionDesc);
-    const auto add = [&](const std::string& name, const void* data, std::uint64_t nbytes,
-                         std::uint32_t aux) {
-      descs.push_back(make_desc(name, offset, data, nbytes, aux));
-      offset += nbytes;
-    };
-    add("ranges", counts.data(), counts.size() * sizeof(std::uint64_t), 0);
-    add("octants", octants.data(), octants.size() * sizeof(forest::OctMsg), 0);
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      add(fields[i].name, field_data[i].data(), field_data[i].size() * sizeof(double),
-          static_cast<std::uint32_t>(fields[i].per_oct));
-    }
-
-    publish_verified(
-        path, step, comm.inject_config(),
-        [&](io::CheckedFile& fp) {
-          fp.write(&h, sizeof(h));
-          fp.write(descs.data(), descs.size() * sizeof(SectionDesc));
-          fp.write(counts.data(), counts.size() * sizeof(std::uint64_t));
-          fp.write(octants.data(), octants.size() * sizeof(forest::OctMsg));
-          for (const auto& fd : field_data) fp.write(fd.data(), fd.size() * sizeof(double));
-        },
-        [&](const std::string& tmp) { load_image(tmp, Dim, conn_id, f.num_trees()); });
-  }
-  comm.barrier();  // checkpoint completion is a collective postcondition
+  std::vector<std::uint64_t> counts;
+  for (const std::int64_t c : f.global_counts()) counts.push_back(static_cast<std::uint64_t>(c));
+  write_image(f, conn_id, step, false,
+              {{"ranges", counts.data(), counts.size() * sizeof(std::uint64_t), 0}}, local, fields,
+              path);
 }
 
 template <int Dim>
 Restored<Dim> restore_checkpoint(par::Comm& comm, const forest::Connectivity<Dim>& conn,
                                  std::uint64_t conn_id, const std::string& path) {
-  Image img;
-  if (comm.rank() == 0) img = load_image(path, Dim, conn_id, conn.num_trees());
+  Image<Dim> img;
+  if (comm.rank() == 0) img = load_image<Dim>(path, false, conn_id, conn.num_trees());
   return distribute<Dim>(comm, conn, std::move(img));
 }
 
@@ -673,19 +732,12 @@ std::string CheckpointRing::newest() const {
   return all.empty() ? std::string() : all.back();
 }
 
-std::string CheckpointRing::next_path() const {
+std::string CheckpointRing::next_path(bool delta) const {
   const auto all = entries();
   const std::uint64_t seq = all.empty() ? 0 : parse_seq(fs::path(all.back())) + 1;
   char name[32];
-  std::snprintf(name, sizeof(name), "ckpt-%08llu.esnap", static_cast<unsigned long long>(seq));
-  return (fs::path(dir_) / name).string();
-}
-
-std::string CheckpointRing::next_delta_path() const {
-  const auto all = entries();
-  const std::uint64_t seq = all.empty() ? 0 : parse_seq(fs::path(all.back())) + 1;
-  char name[32];
-  std::snprintf(name, sizeof(name), "ckpt-%08llu.edelta", static_cast<unsigned long long>(seq));
+  std::snprintf(name, sizeof(name), "ckpt-%08llu.%s", static_cast<unsigned long long>(seq),
+                delta ? "edelta" : "esnap");
   return (fs::path(dir_) / name).string();
 }
 
@@ -715,7 +767,7 @@ void write_checkpoint_ring(const forest::Forest<Dim>& f, std::uint64_t conn_id,
                            std::uint64_t step, const std::vector<NamedField>& fields,
                            CheckpointRing& ring) {
   par::Comm& comm = f.comm();
-  const std::string path = comm.rank() == 0 ? ring.next_path() : std::string();
+  const std::string path = comm.rank() == 0 ? ring.next_path(false) : std::string();
   write_checkpoint(f, conn_id, step, fields, path);
   if (comm.rank() == 0) ring.prune();
 }
@@ -727,156 +779,12 @@ bool ring_probe(par::Comm& comm, const CheckpointRing& ring) {
 }
 
 template <int Dim>
-Restored<Dim> restore_latest(par::Comm& comm, const forest::Connectivity<Dim>& conn,
-                             std::uint64_t conn_id, CheckpointRing& ring, int* fallbacks) {
-  // Rank 0 walks the ring newest-to-oldest, quarantining corrupt entries,
-  // then broadcasts whether (and with how many fallbacks) a snapshot loaded.
-  Image img;
-  std::uint64_t status = 1;  // 0 = ok, 1 = empty ring, 2 = all entries corrupt
-  std::string err;
-  int falls = 0;
-  if (comm.rank() == 0) {
-    const auto paths = ring.entries();
-    if (paths.empty()) {
-      err = "checkpoint ring empty: " + ring.dir();
-    } else {
-      status = 2;
-      for (auto it = paths.rbegin(); it != paths.rend(); ++it) {
-        try {
-          img = load_image(*it, Dim, conn_id, conn.num_trees());
-          status = 0;
-          break;
-        } catch (const CheckpointCorrupt& e) {
-          // This entry is the newest remaining (later ones were quarantined
-          // in earlier iterations), so quarantine-newest hits exactly it.
-          err = e.what();
-          ring.quarantine_newest();
-          ++falls;
-        }
-      }
-    }
-  }
-  status = comm.bcast(status, 0);
-  falls = comm.bcast(falls, 0);
-  if (fallbacks != nullptr) *fallbacks = falls;
-  if (status == 1) {
-    throw std::runtime_error(comm.rank() == 0 ? err : "checkpoint ring empty");
-  }
-  if (status == 2) {
-    throw CheckpointCorrupt(comm.rank() == 0 ? err : "no ring entry passed CRC validation");
-  }
-  return distribute<Dim>(comm, conn, std::move(img));
-}
-
-namespace {
-
-/// Replay one validated delta on top of the in-memory base image: drop every
-/// base octant covered by a delta region, then merge the delta's leaves (and
-/// their field values) back in by (tree, SFC) order. The writer guarantees a
-/// delta's leaves are exactly the current leaves inside its regions, so the
-/// merge result is the full leaf sequence at the delta's step.
-template <int Dim>
-void apply_delta(Image& img, const DeltaImage& d, int num_trees, const std::string& path) {
-  using Oct = forest::Octant<Dim>;
-  const auto to_oct = [](const forest::OctMsg& m) {
-    Oct o;
-    o.x = m.x;
-    o.y = m.y;
-    if constexpr (Dim == 3) o.z = m.z;
-    o.level = static_cast<std::int8_t>(m.level);
-    return o;
-  };
-  std::vector<std::vector<Oct>> reg(static_cast<std::size_t>(num_trees));
-  for (const forest::OctMsg& m : d.regions) {
-    if (m.tree < 0 || m.tree >= num_trees) corrupt(path, "delta region outside the connectivity");
-    reg[static_cast<std::size_t>(m.tree)].push_back(to_oct(m));
-  }
-  for (auto& v : reg) std::sort(v.begin(), v.end());
-  const auto covered = [&](const forest::OctMsg& m) {
-    if (m.tree < 0 || m.tree >= num_trees) {
-      corrupt(path, "base octant names a tree outside the connectivity");
-    }
-    const auto& v = reg[static_cast<std::size_t>(m.tree)];
-    const Oct o = to_oct(m);
-    const auto it = std::upper_bound(v.begin(), v.end(), o);
-    if (it != v.end() && o.contains(*it) && o.level < it->level) {
-      // A base leaf strictly coarser than a recorded region means the
-      // writer's change tracking missed a refinement under it.
-      corrupt(path, "delta region finer than a base leaf (incomplete tracking)");
-    }
-    return it != v.begin() && std::prev(it)->contains(o);
-  };
-
-  if (img.fields.size() != d.fields.size()) {
-    corrupt(path, "delta field set does not match the base snapshot");
-  }
-  for (std::size_t i = 0; i < d.fields.size(); ++i) {
-    if (img.fields[i].name != d.fields[i].name ||
-        img.fields[i].per_oct != d.fields[i].per_oct) {
-      corrupt(path, "delta field '" + d.fields[i].name + "' does not match the base snapshot");
-    }
-  }
-
-  std::vector<forest::OctMsg> merged;
-  merged.reserve(img.octants.size() + d.octants.size());
-  std::vector<std::vector<double>> mdata(img.fields.size());
-  const auto less_msg = [&](const forest::OctMsg& a, const forest::OctMsg& b) {
-    if (a.tree != b.tree) return a.tree < b.tree;
-    return to_oct(a) < to_oct(b);
-  };
-  const auto take = [&](const std::vector<forest::OctMsg>& oct,
-                        const std::vector<NamedField>& flds, std::size_t i) {
-    merged.push_back(oct[i]);
-    for (std::size_t fi = 0; fi < flds.size(); ++fi) {
-      const auto w = static_cast<std::size_t>(flds[fi].per_oct);
-      mdata[fi].insert(mdata[fi].end(),
-                       flds[fi].data.begin() + static_cast<std::ptrdiff_t>(i * w),
-                       flds[fi].data.begin() + static_cast<std::ptrdiff_t>((i + 1) * w));
-    }
-  };
-  std::size_t ib = 0, id = 0;
-  while (ib < img.octants.size() || id < d.octants.size()) {
-    if (ib < img.octants.size() && covered(img.octants[ib])) {
-      ++ib;  // replaced by the delta's view of this region
-      continue;
-    }
-    const bool take_delta = id < d.octants.size() &&
-                            (ib >= img.octants.size() ||
-                             less_msg(d.octants[id], img.octants[ib]));
-    if (take_delta) {
-      take(d.octants, d.fields, id);
-      ++id;
-    } else {
-      take(img.octants, img.fields, ib);
-      ++ib;
-    }
-  }
-  img.octants = std::move(merged);
-  for (std::size_t fi = 0; fi < img.fields.size(); ++fi) {
-    img.fields[fi].data = std::move(mdata[fi]);
-  }
-}
-
-}  // namespace
-
-template <int Dim>
 void write_delta_checkpoint_ring(const forest::Forest<Dim>& f, std::uint64_t conn_id,
                                  std::uint64_t step, const std::vector<NamedField>& fields,
                                  forest::DeltaSet<Dim>& delta, CheckpointRing& ring) {
   using Oct = forest::Octant<Dim>;
   par::Comm& comm = f.comm();
-  const auto n_local = static_cast<std::size_t>(f.num_local());
-  for (const NamedField& fld : fields) {
-    if (fld.name.empty() || fld.name == "dmeta" || fld.name == "dregions" ||
-        fld.name == "doctants" || fld.name == "ranges" || fld.name == "octants" ||
-        fld.name.size() > max_section_name) {
-      throw std::runtime_error("write_delta_checkpoint_ring: bad field name '" + fld.name + "'");
-    }
-    if (fld.per_oct <= 0 || fld.data.size() != n_local * static_cast<std::size_t>(fld.per_oct)) {
-      throw std::runtime_error("write_delta_checkpoint_ring: field '" + fld.name +
-                               "' size does not match the local forest");
-    }
-  }
+  check_fields(fields, static_cast<std::size_t>(f.num_local()));
 
   // Rank 0 looks up the chain anchor (the newest full snapshot) and the
   // predecessor link; the go/no-go decision is collective so every rank
@@ -908,14 +816,16 @@ void write_delta_checkpoint_ring(const forest::Forest<Dim>& f, std::uint64_t con
   }
 
   // Local leaves inside the replicated regions, in local SFC order — the
-  // rank concatenation below is therefore the global SFC order — plus the
-  // field values on exactly those leaves.
-  std::vector<forest::OctMsg> doct;
-  std::vector<std::vector<double>> dvals(fields.size());
+  // rank concatenation in write_image is therefore the global SFC order —
+  // plus the field values on exactly those leaves.
+  std::vector<forest::OctMsg> doct, regions;
+  std::vector<NamedField> dfields;
+  for (const NamedField& fld : fields) dfields.push_back({fld.name, fld.per_oct, {}});
   std::size_t tree_base = 0;
   for (int t = 0; t < f.num_trees(); ++t) {
     const std::vector<Oct>& leaves = f.tree(t);
     for (const Oct& r : global.regions[static_cast<std::size_t>(t)]) {
+      regions.push_back(forest::to_msg(t, r));
       const auto [lo, hi] = forest::overlapping_range<Dim>(leaves, r);
       for (std::size_t i = lo; i < hi; ++i) {
         const Oct& o = leaves[i];
@@ -925,85 +835,30 @@ void write_delta_checkpoint_ring(const forest::Forest<Dim>& f, std::uint64_t con
           throw std::runtime_error(
               "write_delta_checkpoint_ring: leaf coarser than its delta region");
         }
-        doct.push_back(forest::OctMsg{t, o.x, o.y, Dim == 3 ? o.z : 0, o.level});
+        doct.push_back(forest::to_msg(t, o));
         const std::size_t li = tree_base + i;
         for (std::size_t fi = 0; fi < fields.size(); ++fi) {
           const auto w = static_cast<std::size_t>(fields[fi].per_oct);
-          dvals[fi].insert(dvals[fi].end(),
-                           fields[fi].data.begin() + static_cast<std::ptrdiff_t>(li * w),
-                           fields[fi].data.begin() + static_cast<std::ptrdiff_t>((li + 1) * w));
+          dfields[fi].data.insert(dfields[fi].data.end(),
+                                  fields[fi].data.begin() + static_cast<std::ptrdiff_t>(li * w),
+                                  fields[fi].data.begin() +
+                                      static_cast<std::ptrdiff_t>((li + 1) * w));
         }
       }
     }
     tree_base += leaves.size();
   }
 
-  const auto oct_parts = comm.allgatherv(doct);
-  std::vector<std::vector<std::vector<double>>> field_parts;
-  field_parts.reserve(fields.size());
-  for (const auto& dv : dvals) field_parts.push_back(comm.allgatherv(dv));
-
+  const std::uint64_t dmeta[3] = {link[1], link[2], link[3]};
+  const std::string path = comm.rank() == 0 ? ring.next_path(true) : std::string();
+  write_image(f, conn_id, step, true,
+              {{"dmeta", dmeta, sizeof(dmeta), 0},
+               {"dregions", regions.data(), regions.size() * sizeof(forest::OctMsg), 0}},
+              doct, dfields, path);
   if (comm.rank() == 0) {
-    std::vector<forest::OctMsg> octants;
-    for (const auto& part : oct_parts) octants.insert(octants.end(), part.begin(), part.end());
-    std::vector<forest::OctMsg> regions;
-    for (int t = 0; t < f.num_trees(); ++t) {
-      for (const Oct& r : global.regions[static_cast<std::size_t>(t)]) {
-        regions.push_back(forest::OctMsg{t, r.x, r.y, Dim == 3 ? r.z : 0, r.level});
-      }
-    }
-    const std::uint64_t dmeta[3] = {link[1], link[2], link[3]};
-
-    Header h{};
-    std::memcpy(h.magic, magic_bytes, sizeof(magic_bytes));
-    h.version = checkpoint_format_version;
-    h.dim = Dim;
-    h.writer_ranks = static_cast<std::uint32_t>(comm.size());
-    h.num_trees = static_cast<std::uint32_t>(f.num_trees());
-    h.conn_id = conn_id;
-    h.num_octants = octants.size();
-    h.step = step;
-    h.num_sections = static_cast<std::uint32_t>(3 + fields.size());
-    h.header_crc = crc32c(&h, header_crc_span);
-
-    std::vector<std::vector<double>> field_data;
-    for (const auto& parts : field_parts) {
-      std::vector<double> all;
-      for (const auto& part : parts) all.insert(all.end(), part.begin(), part.end());
-      field_data.push_back(std::move(all));
-    }
-
-    std::vector<SectionDesc> descs;
-    std::uint64_t offset = sizeof(Header) + h.num_sections * sizeof(SectionDesc);
-    const auto add = [&](const std::string& name, const void* data, std::uint64_t nbytes,
-                         std::uint32_t aux) {
-      descs.push_back(make_desc(name, offset, data, nbytes, aux));
-      offset += nbytes;
-    };
-    add("dmeta", dmeta, sizeof(dmeta), 0);
-    add("dregions", regions.data(), regions.size() * sizeof(forest::OctMsg), 0);
-    add("doctants", octants.data(), octants.size() * sizeof(forest::OctMsg), 0);
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      add(fields[i].name, field_data[i].data(), field_data[i].size() * sizeof(double),
-          static_cast<std::uint32_t>(fields[i].per_oct));
-    }
-
-    const std::string path = ring.next_delta_path();
-    publish_verified(
-        path, step, comm.inject_config(),
-        [&](io::CheckedFile& fp) {
-          fp.write(&h, sizeof(h));
-          fp.write(descs.data(), descs.size() * sizeof(SectionDesc));
-          fp.write(dmeta, sizeof(dmeta));
-          fp.write(regions.data(), regions.size() * sizeof(forest::OctMsg));
-          fp.write(octants.data(), octants.size() * sizeof(forest::OctMsg));
-          for (const auto& fd : field_data) fp.write(fd.data(), fd.size() * sizeof(double));
-        },
-        [&](const std::string& tmp) { load_delta_image(tmp, Dim, conn_id, f.num_trees()); });
     forest::op_stats().ckpt_delta_bytes += static_cast<std::int64_t>(fs::file_size(path));
     ring.prune();
   }
-  comm.barrier();  // checkpoint completion is a collective postcondition
 }
 
 template <int Dim>
@@ -1014,7 +869,7 @@ Restored<Dim> restore_latest_chain(par::Comm& comm, const forest::Connectivity<D
   // The chain stops at the first corrupt delta (quarantined) or broken
   // (base, prev, prev-CRC) link — later deltas are orphaned and the state
   // restored is the longest valid prefix.
-  Image img;
+  Image<Dim> img;
   std::uint64_t status = 1;  // 0 = ok, 1 = empty ring, 2 = no valid full snapshot
   std::string err;
   int falls = 0;
@@ -1035,7 +890,7 @@ Restored<Dim> restore_latest_chain(par::Comm& comm, const forest::Connectivity<D
         break;
       }
       try {
-        img = load_image(anchor, Dim, conn_id, conn.num_trees());
+        img = load_image<Dim>(anchor, false, conn_id, conn.num_trees());
       } catch (const CheckpointCorrupt& e) {
         err = e.what();
         fs::rename(anchor, anchor + ".bad");
@@ -1051,11 +906,11 @@ Restored<Dim> restore_latest_chain(par::Comm& comm, const forest::Connectivity<D
         const std::uint64_t seq = parse_seq(fs::path(p));
         if (seq < anchor_seq) continue;  // leftovers of an older chain
         try {
-          const DeltaImage d = load_delta_image(p, Dim, conn_id, conn.num_trees());
+          const Image<Dim> d = load_image<Dim>(p, true, conn_id, conn.num_trees());
           if (d.base_seq != anchor_seq || d.prev_seq != prev_seq || d.prev_crc != prev_crc) {
             break;  // orphaned tail of a different chain: keep the prefix
           }
-          apply_delta<Dim>(img, d, conn.num_trees(), p);
+          apply_delta<Dim>(img, d, p);
           img.step = d.step;
           img.bytes_read += d.bytes_read;
           prev_seq = seq;
@@ -1145,10 +1000,6 @@ void corrupt_checkpoint(const std::string& path, CorruptKind kind, std::uint64_t
   }
 }
 
-void corrupt_checkpoint_byte(const std::string& path, std::uint64_t seed) {
-  corrupt_checkpoint(path, CorruptKind::byte_flip, seed);
-}
-
 DiskFaultStats disk_fault_stats() {
   DiskFaultStats s;
   s.commits = g_commits.load();
@@ -1183,10 +1034,6 @@ template void write_checkpoint_ring<2>(const forest::Forest<2>&, std::uint64_t, 
                                        const std::vector<NamedField>&, CheckpointRing&);
 template void write_checkpoint_ring<3>(const forest::Forest<3>&, std::uint64_t, std::uint64_t,
                                        const std::vector<NamedField>&, CheckpointRing&);
-template Restored<2> restore_latest<2>(par::Comm&, const forest::Connectivity<2>&, std::uint64_t,
-                                       CheckpointRing&, int*);
-template Restored<3> restore_latest<3>(par::Comm&, const forest::Connectivity<3>&, std::uint64_t,
-                                       CheckpointRing&, int*);
 template void write_delta_checkpoint_ring<2>(const forest::Forest<2>&, std::uint64_t,
                                              std::uint64_t, const std::vector<NamedField>&,
                                              forest::DeltaSet<2>&, CheckpointRing&);

@@ -1,26 +1,39 @@
-// Checkpoint/restart snapshots for the distributed forest (ISSUE 2 tentpole).
+// Checkpoint/restart snapshots for the distributed forest.
 //
-// A snapshot is a single self-describing binary file:
+// A checkpoint is a single self-describing binary file:
 //
 //   Header       magic "ESAMRCKP", format version, dimension, writer rank
-//                count, tree count, connectivity id, global octant count,
-//                user step counter, section count, header CRC32C
+//                count, tree count, connectivity id, octant count, user step
+//                counter, section count, header CRC32C
 //   SectionDesc  per section: name, absolute payload offset, byte count,
 //                CRC32C, aux word (per-octant width for field sections)
-//   payloads     "ranges"  per-writer-rank octant counts (u64 x P_writer)
-//                "octants" the global SFC octant sequence (OctMsg records)
-//                one section per named per-octant payload field (doubles)
+//   payloads     a full snapshot (ckpt-<seq>.esnap):
+//                  "ranges"   per-writer-rank octant counts (u64 x P_writer)
+//                  "octants"  the global SFC octant sequence (OctMsg records)
+//                a delta checkpoint (ckpt-<seq>.edelta):
+//                  "dmeta"    chain link: base seq, prev seq, prev header CRC
+//                  "dregions" the replicated change regions (OctMsg records)
+//                  "doctants" the leaves inside those regions (OctMsg records)
+//                then, in both kinds, one section per named per-octant
+//                payload field (doubles, on exactly the stored octants)
+//
+// The five container section names are reserved in both kinds, so a field
+// that is legal in a delta is legal in the full snapshot a delta write falls
+// back to. One writer lays out both kinds and one loader reads both: it
+// checks the header CRC, every descriptor bound and section CRC, and decodes
+// every octant record — tree and level in range, aligned, inside the root,
+// strictly increasing (tree, SFC) order — so a CRC-valid but illegal file
+// raises CheckpointCorrupt naming the section and, for a CRC mismatch, the
+// file offset.
 //
 // Writes are collective: every rank contributes its local SFC segment
 // (allgatherv), rank 0 assembles the file and writes it *atomically* — to a
 // temp file, fsync-free temp + std::rename — so a crash mid-write can never
-// clobber a previous snapshot. Every section carries a CRC32C; restore
-// validates the header CRC and every section CRC before trusting a byte, and
-// a mismatch throws CheckpointCorrupt naming the section and file offset.
+// clobber a previous snapshot.
 //
 // The commit path is write-then-reread-verify: rank 0 rereads the temp file
-// through the same CRC validation restore uses before renaming it into
-// place, retrying a bounded number of times. Injected disk faults
+// through the same loader restore uses before renaming it into place,
+// retrying a bounded number of times. Injected disk faults
 // (InjectConfig::disk_fault_stride: torn tail, truncation, transient EIO)
 // are keyed on (seed, step, attempt), so a retry draws a fresh hash and the
 // loop converges; persistent failure throws CheckpointCorrupt. DiskFaultStats
@@ -34,9 +47,11 @@
 // partition is the canonical equal SFC split, which is exactly what the
 // writer held if its last mutation was a partition.
 //
-// CheckpointRing retains the last K snapshots in a directory so restore can
-// fall back past a corrupted newest entry (restore_latest quarantines bad
-// files by renaming them *.bad).
+// CheckpointRing retains the last K entries in a directory. There is one
+// ring restore, restore_latest_chain: it falls back past corrupt full
+// snapshots and replays the longest valid delta prefix above the newest
+// valid one, quarantining bad files by renaming them *.bad. A ring of full
+// snapshots only is the chain with no deltas.
 #pragma once
 
 #include <cstdint>
@@ -117,10 +132,10 @@ class CheckpointRing {
   static bool is_delta(const std::string& path);
   /// Newest entry path (either kind), or "" when the ring is empty.
   std::string newest() const;
-  /// Path the next full snapshot should be committed to (seq = newest + 1).
-  std::string next_path() const;
-  /// Path the next delta checkpoint should be committed to (same seq line).
-  std::string next_delta_path() const;
+  /// Path the next entry should be committed to (seq = newest + 1, on one
+  /// seq line across both kinds): a delta checkpoint when `delta`, else a
+  /// full snapshot.
+  std::string next_path(bool delta) const;
   /// Rename the newest entry to <name>.bad so restores fall back past it.
   void quarantine_newest();
   /// Delete oldest entries until at most `keep` remain — but never the
@@ -144,16 +159,6 @@ void write_checkpoint_ring(const forest::Forest<Dim>& f, std::uint64_t conn_id,
                            std::uint64_t step, const std::vector<NamedField>& fields,
                            CheckpointRing& ring);
 
-/// Collective: restore the newest ring entry whose CRCs validate. Corrupt
-/// entries are quarantined and counted in *fallbacks (if non-null), and the
-/// next-older entry is tried. Throws CheckpointCorrupt when every entry is
-/// corrupt and std::runtime_error when the ring is empty. Full snapshots
-/// only — a delta chain is restored with restore_latest_chain.
-template <int Dim>
-Restored<Dim> restore_latest(par::Comm& comm, const forest::Connectivity<Dim>& conn,
-                             std::uint64_t conn_id, CheckpointRing& ring,
-                             int* fallbacks = nullptr);
-
 /// Collective: append a delta checkpoint to the ring. `delta` holds the
 /// change regions accumulated since the previous ring write (the caller
 /// clears it afterwards); the file stores the replicated regions, the
@@ -170,13 +175,16 @@ void write_delta_checkpoint_ring(const forest::Forest<Dim>& f, std::uint64_t con
                                  std::uint64_t step, const std::vector<NamedField>& fields,
                                  forest::DeltaSet<Dim>& delta, CheckpointRing& ring);
 
-/// Collective: restore the newest full snapshot whose CRCs validate, then
-/// replay the delta chain on top of it in sequence order. The chain stops at
-/// the first delta that is corrupt or whose (base seq, prev seq, prev CRC)
-/// link does not match — the corrupt file is quarantined, later deltas are
-/// orphaned, and the state restored is the longest valid prefix (worst case:
-/// the full snapshot alone). Corrupt files quarantined are counted in
-/// *fallbacks. Elastic like restore_checkpoint.
+/// Collective: the ring restore. Restore the newest full snapshot that
+/// validates — corrupt ones are quarantined and the next-older one is tried
+/// — then replay the delta chain on top of it in sequence order. The chain
+/// stops at the first delta that is corrupt or whose (base seq, prev seq,
+/// prev CRC) link does not match — the corrupt file is quarantined, later
+/// deltas are orphaned, and the state restored is the longest valid prefix
+/// (worst case: the full snapshot alone). Corrupt files quarantined are
+/// counted in *fallbacks. Throws CheckpointCorrupt when no full snapshot
+/// validates and std::runtime_error when the ring is empty. Elastic like
+/// restore_checkpoint.
 template <int Dim>
 Restored<Dim> restore_latest_chain(par::Comm& comm, const forest::Connectivity<Dim>& conn,
                                    std::uint64_t conn_id, CheckpointRing& ring,
@@ -196,9 +204,6 @@ const char* corrupt_kind_name(CorruptKind k);
 /// torn_write, out-of-range section or short read for truncate_tail). The
 /// damage site/extent is a pure function of `seed`.
 void corrupt_checkpoint(const std::string& path, CorruptKind kind, std::uint64_t seed);
-
-/// Back-compat wrapper: corrupt_checkpoint(path, CorruptKind::byte_flip, seed).
-void corrupt_checkpoint_byte(const std::string& path, std::uint64_t seed);
 
 /// Process-wide counters for the checkpoint commit path (rank 0 writes, but
 /// the counters are process globals so tests can read them after par::run).
@@ -230,10 +235,6 @@ extern template void write_checkpoint_ring<2>(const forest::Forest<2>&, std::uin
 extern template void write_checkpoint_ring<3>(const forest::Forest<3>&, std::uint64_t,
                                               std::uint64_t, const std::vector<NamedField>&,
                                               CheckpointRing&);
-extern template Restored<2> restore_latest<2>(par::Comm&, const forest::Connectivity<2>&,
-                                              std::uint64_t, CheckpointRing&, int*);
-extern template Restored<3> restore_latest<3>(par::Comm&, const forest::Connectivity<3>&,
-                                              std::uint64_t, CheckpointRing&, int*);
 extern template void write_delta_checkpoint_ring<2>(const forest::Forest<2>&, std::uint64_t,
                                                     std::uint64_t,
                                                     const std::vector<NamedField>&,

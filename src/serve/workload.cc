@@ -42,7 +42,7 @@ std::uint64_t run_ring_u64(par::Comm& c, resil::RecoveryContext& ctx, const JobS
   std::uint64_t state = 0x243f6a8885a308d3ULL ^ par::detail::mix64(spec.workload_seed);
   int k0 = 0;
   if (resil::ring_probe(c, ring)) {
-    auto r = resil::restore_latest<2>(c, conn, cid, ring);
+    auto r = resil::restore_latest_chain<2>(c, conn, cid, ring);
     if (c.rank() == 0) ctx.record_restore(r.bytes_read);
     k0 = static_cast<int>(r.step) + 1;
     if (r.forest.checksum() != f.checksum()) {

@@ -134,11 +134,8 @@ void chaos_body(par::Comm& c, resil::RecoveryContext& ctx, const Connectivity<2>
   f.for_each_local([&](int t, const Octant<2>& o) { field.push_back(init_value(t, o)); });
 
   int k0 = 0;
-  int have = 0;
-  if (c.rank() == 0) have = ring.entries().empty() ? 0 : 1;
-  have = c.bcast(have, 0);
-  if (have != 0) {
-    auto r = resil::restore_latest<2>(c, conn, cid, ring);
+  if (resil::ring_probe(c, ring)) {
+    auto r = resil::restore_latest_chain<2>(c, conn, cid, ring);
     if (c.rank() == 0) ctx.record_restore(r.bytes_read);
     k0 = static_cast<int>(r.step) + 1;
     ASSERT_EQ(r.forest.checksum(), f.checksum());  // the mesh is static here
@@ -586,11 +583,8 @@ std::uint64_t u64_body(par::Comm& c, resil::RecoveryContext& ctx, const Connecti
   auto f = make_forest(c, conn);
   std::uint64_t state = 0x9e3779b97f4a7c15ULL;
   int k0 = 0;
-  int have = 0;
-  if (c.rank() == 0) have = ring.entries().empty() ? 0 : 1;
-  have = c.bcast(have, 0);
-  if (have != 0) {
-    auto r = resil::restore_latest<2>(c, conn, cid, ring);
+  if (resil::ring_probe(c, ring)) {
+    auto r = resil::restore_latest_chain<2>(c, conn, cid, ring);
     if (c.rank() == 0) ctx.record_restore(r.bytes_read);
     k0 = static_cast<int>(r.step) + 1;
     EXPECT_EQ(r.forest.checksum(), f.checksum()) << "static mesh, any partition";

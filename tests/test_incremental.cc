@@ -283,7 +283,7 @@ TEST(DeltaCheckpoint, ChainRestoreMatchesFullSnapshot) {
       // ... and the chain's endpoint equals a fresh full snapshot's restore.
       resil::CheckpointRing ring_full(dir_full, 3);
       resil::write_checkpoint_ring(f, cid, 4, {fld}, ring_full);
-      auto rf = resil::restore_latest<2>(c, conn, cid, ring_full);
+      auto rf = resil::restore_latest_chain<2>(c, conn, cid, ring_full);
       EXPECT_EQ(global_state_words(c, rc.forest, rc.fields[0].data),
                 global_state_words(c, rf.forest, rf.fields[0].data));
     });

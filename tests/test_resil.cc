@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -104,13 +105,22 @@ constexpr std::uint64_t kHeaderNumOctants = 32;
 constexpr std::uint64_t kHeaderNumSections = 48;
 constexpr std::uint64_t kHeaderCrc = 52;
 constexpr std::uint64_t kFirstDesc = 56;
+constexpr std::uint64_t kDescSize = 48;
 constexpr std::uint64_t kDescOffset = 24;
 constexpr std::uint64_t kDescNbytes = 32;
+constexpr std::uint64_t kDescCrc = 40;
+// forest::OctMsg records: five int32 words (tree, x, y, z, level).
+constexpr std::size_t kOctMsgSize = 20;
+constexpr std::size_t kOctTree = 0;
+constexpr std::size_t kOctX = 4;
+constexpr std::size_t kOctY = 8;
+constexpr std::size_t kOctLevel = 16;
 
-std::uint64_t read_u64(const std::string& path, std::uint64_t at) {
+template <typename T>
+T read_at(const std::string& path, std::uint64_t at) {
   std::ifstream in(path, std::ios::binary);
   in.seekg(static_cast<std::streamoff>(at));
-  std::uint64_t v = 0;
+  T v{};
   in.read(reinterpret_cast<char*>(&v), sizeof(v));
   EXPECT_TRUE(in.good()) << path;
   return v;
@@ -137,8 +147,95 @@ void reseal_header(const std::string& path) {
 /// Give the first section descriptor a length for which offset + nbytes
 /// wraps around to a small in-file value.
 void craft_wrapping_descriptor(const std::string& path) {
-  const std::uint64_t offset = read_u64(path, kFirstDesc + kDescOffset);
+  const auto offset = read_at<std::uint64_t>(path, kFirstDesc + kDescOffset);
   write_at(path, kFirstDesc + kDescNbytes, std::uint64_t{0} - offset + 8);
+}
+
+/// Copy the first section descriptor ("ranges") over the third (the first
+/// field's): every descriptor still points at CRC-valid bytes, but the file
+/// names one container section twice and drops the field.
+void craft_duplicate_descriptor(const std::string& path) {
+  const auto ranges = read_at<std::array<char, kDescSize>>(path, kFirstDesc);
+  write_at(path, kFirstDesc + 2 * kDescSize, ranges);
+}
+
+/// Rewrite the payload of section `name` through `edit`, then recompute the
+/// section CRC, so the edit reaches the decoder behind the CRC check.
+void reseal_section(const std::string& path, const std::string& name,
+                    const std::function<void(std::vector<char>&)>& edit) {
+  const auto nsec = read_at<std::uint32_t>(path, kHeaderNumSections);
+  for (std::uint32_t i = 0; i < nsec; ++i) {
+    const std::uint64_t desc = kFirstDesc + i * kDescSize;
+    const auto dname = read_at<std::array<char, 24>>(path, desc);
+    if (name != dname.data()) continue;
+    const auto off = static_cast<std::streamoff>(read_at<std::uint64_t>(path, desc + kDescOffset));
+    std::vector<char> payload(read_at<std::uint64_t>(path, desc + kDescNbytes));
+    std::fstream io(path, std::ios::in | std::ios::out | std::ios::binary);
+    io.seekg(off);
+    io.read(payload.data(), static_cast<std::streamsize>(payload.size()));
+    edit(payload);
+    io.seekp(off);
+    io.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+    ASSERT_TRUE(io.good()) << path;
+    io.close();
+    write_at(path, desc + kDescCrc, resil::crc32c(payload.data(), payload.size()));
+    return;
+  }
+  ADD_FAILURE() << "no section '" << name << "' in " << path;
+}
+
+/// Apply `f` to one int32 word of OctMsg record `rec` in a section payload.
+void edit_record(std::vector<char>& payload, std::size_t rec, std::size_t word,
+                 const std::function<std::int32_t(std::int32_t)>& f) {
+  ASSERT_LE((rec + 1) * kOctMsgSize, payload.size());
+  std::int32_t v = 0;
+  std::memcpy(&v, payload.data() + rec * kOctMsgSize + word, sizeof(v));
+  v = f(v);
+  std::memcpy(payload.data() + rec * kOctMsgSize + word, &v, sizeof(v));
+}
+
+/// Octant-record crafts: each leaves a section CRC-valid but its leaf
+/// sequence illegal (a tree outside the connectivity, a level past the
+/// 32-bit shift or past the 2D max_level of 29, a misaligned corner, two
+/// records out of SFC order, a leaf replaced by its first child so the
+/// leaves no longer cover the tree).
+struct OctantCraft {
+  std::string name;
+  std::function<void(std::vector<char>&)> edit;
+};
+
+std::vector<OctantCraft> octant_crafts() {
+  const auto set = [](std::size_t word, std::int32_t v) {
+    return [word, v](std::vector<char>& p) {
+      edit_record(p, 0, word, [v](std::int32_t) { return v; });
+    };
+  };
+  return {
+      {"tree7", set(kOctTree, 7)},
+      {"level40", set(kOctLevel, 40)},
+      {"level30", set(kOctLevel, 30)},
+      {"misaligned",
+       [](std::vector<char>& p) {
+         edit_record(p, 0, kOctX, [](std::int32_t x) { return x + 1; });
+       }},
+      {"swapped",
+       [](std::vector<char>& p) {
+         ASSERT_GE(p.size(), 2 * kOctMsgSize);
+         std::swap_ranges(p.begin(), p.begin() + kOctMsgSize, p.begin() + kOctMsgSize);
+       }},
+      {"hole",
+       [](std::vector<char>& p) {
+         edit_record(p, 0, kOctLevel, [](std::int32_t l) { return l + 1; });
+       }},
+  };
+}
+
+/// CRC32C of a whole file.
+std::uint32_t file_crc(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  return resil::crc32c(bytes.data(), bytes.size());
 }
 
 /// First seed for which exactly one of `nranks` ranks is a kill victim.
@@ -259,7 +356,7 @@ TEST(Checkpoint, CorruptionDetectedWithSectionAndOffsetThenRingFallsBack) {
   resil::CheckpointRing ring(dir, 3);
   ASSERT_EQ(ring.entries().size(), 2u);
   const std::string newest = ring.newest();
-  resil::corrupt_checkpoint_byte(newest, 77);
+  resil::corrupt_checkpoint(newest, resil::CorruptKind::byte_flip, 77);
 
   // Direct restore of the corrupted snapshot: the error names the section
   // and the file offset of the failing payload.
@@ -273,12 +370,12 @@ TEST(Checkpoint, CorruptionDetectedWithSectionAndOffsetThenRingFallsBack) {
     EXPECT_NE(msg.find("stored 0x"), std::string::npos) << msg;
   }
 
-  // restore_latest falls back to the previous ring entry and quarantines
+  // restore_latest_chain falls back to the previous ring entry and quarantines
   // the corrupted one as *.bad.
   par::run(2, [&](par::Comm& c) {
     resil::CheckpointRing r2(dir, 3);
     int fallbacks = -1;
-    auto r = resil::restore_latest<2>(c, conn, cid, r2, &fallbacks);
+    auto r = resil::restore_latest_chain<2>(c, conn, cid, r2, &fallbacks);
     EXPECT_EQ(r.step, 1u);
     EXPECT_EQ(fallbacks, 1);
   });
@@ -300,7 +397,7 @@ TEST(Checkpoint, RingKeepsOnlyNewestAndSequencesAdvance) {
     for (std::uint64_t s = 0; s < 5; ++s) resil::write_checkpoint_ring(f, cid, s, {}, ring);
     EXPECT_EQ(ring.entries().size(), 2u);
     EXPECT_NE(ring.newest().find("ckpt-00000004.esnap"), std::string::npos);
-    auto r = resil::restore_latest<2>(c, conn, cid, ring);
+    auto r = resil::restore_latest_chain<2>(c, conn, cid, ring);
     EXPECT_EQ(r.step, 4u);
     EXPECT_TRUE(r.fields.empty());
     EXPECT_EQ(r.forest.checksum(), f.checksum());
@@ -332,8 +429,8 @@ namespace {
 
 // Hostile input: a newest ring entry that is well formed except for one
 // crafted field must be rejected as CheckpointCorrupt (not crash the loader
-// with length_error or bad_alloc) and restore_latest must fall back to the
-// previous entry.
+// with length_error or bad_alloc) and restore_latest_chain must fall back to
+// the previous entry.
 void expect_crafted_newest_falls_back(const std::string& name,
                                       const std::function<void(const std::string&)>& craft) {
   const auto conn = Connectivity<2>::unit();
@@ -356,7 +453,7 @@ void expect_crafted_newest_falls_back(const std::string& name,
   par::run(2, [&](par::Comm& c) {
     resil::CheckpointRing r2(dir, 3);
     int fallbacks = -1;
-    auto r = resil::restore_latest<2>(c, conn, cid, r2, &fallbacks);
+    auto r = resil::restore_latest_chain<2>(c, conn, cid, r2, &fallbacks);
     EXPECT_EQ(r.step, 1u) << name;
     EXPECT_EQ(fallbacks, 1) << name;
   });
@@ -367,13 +464,15 @@ void expect_crafted_newest_falls_back(const std::string& name,
 
 TEST(Checkpoint, CraftedSectionDescriptorFallsBackThroughRing) {
   expect_crafted_newest_falls_back("crafted_desc", craft_wrapping_descriptor);
+  expect_crafted_newest_falls_back("crafted_dup_desc", craft_duplicate_descriptor);
 }
 
 TEST(Checkpoint, ResealedHeaderFieldsFallBackThroughRing) {
   // An octant count whose product with the 20-byte octant record wraps to
   // the real section size (20 * 2^62 = 0 mod 2^64).
   expect_crafted_newest_falls_back("resealed_octants", [](const std::string& path) {
-    write_at(path, kHeaderNumOctants, read_u64(path, kHeaderNumOctants) + (std::uint64_t{1} << 62));
+    write_at(path, kHeaderNumOctants,
+             read_at<std::uint64_t>(path, kHeaderNumOctants) + (std::uint64_t{1} << 62));
     reseal_header(path);
   });
   // A section count whose descriptor table could never fit in the file.
@@ -383,10 +482,23 @@ TEST(Checkpoint, ResealedHeaderFieldsFallBackThroughRing) {
   });
 }
 
-TEST(Checkpoint, CraftedDeltaDescriptorEndsTheChainAtTheFullSnapshot) {
+TEST(Checkpoint, IllegalOctantRecordsFallBackThroughRing) {
+  for (const OctantCraft& craft : octant_crafts()) {
+    expect_crafted_newest_falls_back("octants_" + craft.name, [&](const std::string& path) {
+      reseal_section(path, "octants", craft.edit);
+    });
+  }
+}
+
+namespace {
+
+// A ring {full step 1, delta step 2} whose delta is crafted: the chain must
+// end at the full snapshot, quarantining the delta.
+void expect_crafted_delta_ends_chain(const std::string& name,
+                                     const std::function<void(const std::string&)>& craft) {
   const auto conn = Connectivity<2>::unit();
   const std::uint64_t cid = resil::connectivity_id(conn);
-  const std::string dir = test_dir("crafted_delta");
+  const std::string dir = test_dir(name);
   par::run(2, [&](par::Comm& c) {
     resil::CheckpointRing ring(dir, 3);
     auto f = make_forest(c, conn);
@@ -398,15 +510,68 @@ TEST(Checkpoint, CraftedDeltaDescriptorEndsTheChainAtTheFullSnapshot) {
   });
   resil::CheckpointRing ring(dir, 3);
   ASSERT_TRUE(resil::CheckpointRing::is_delta(ring.newest()));
-  craft_wrapping_descriptor(ring.newest());
+  craft(ring.newest());
   par::run(2, [&](par::Comm& c) {
     resil::CheckpointRing r2(dir, 3);
     int fallbacks = -1;
     auto r = resil::restore_latest_chain<2>(c, conn, cid, r2, &fallbacks);
-    EXPECT_EQ(r.step, 1u);
-    EXPECT_EQ(fallbacks, 1);
+    EXPECT_EQ(r.step, 1u) << name;
+    EXPECT_EQ(fallbacks, 1) << name;
   });
   fs::remove_all(dir);
+}
+
+}  // namespace
+
+TEST(Checkpoint, CraftedDeltaDescriptorEndsTheChainAtTheFullSnapshot) {
+  expect_crafted_delta_ends_chain("crafted_delta", craft_wrapping_descriptor);
+  expect_crafted_delta_ends_chain("crafted_doctants", [](const std::string& path) {
+    reseal_section(path, "doctants", octant_crafts().front().edit);  // tree 7
+  });
+  // The last delta leaf moved to the far corner of the root, outside every
+  // region: the records stay legal and in SFC order, but the leaf overlaps
+  // the base leaf there, so the replay is no linear octree.
+  expect_crafted_delta_ends_chain("crafted_doctants_far", [](const std::string& path) {
+    reseal_section(path, "doctants", [](std::vector<char>& p) {
+      const std::size_t last = p.size() / kOctMsgSize - 1;
+      std::int32_t level = 0;
+      std::memcpy(&level, p.data() + last * kOctMsgSize + kOctLevel, sizeof(level));
+      const std::int32_t corner = Octant<2>::root_len - (Octant<2>::root_len >> level);
+      for (const std::size_t word : {kOctX, kOctY}) {
+        edit_record(p, last, word, [corner](std::int32_t) { return corner; });
+      }
+    });
+  });
+}
+
+// The v1 on-disk format, pinned: a fixed 2D forest with one field, written
+// as a full snapshot and then as a delta at P = 1 and P = 3, must produce
+// exactly these bytes (CRC32C of each whole file).
+TEST(Checkpoint, OnDiskFormatIsPinned) {
+  const auto conn = Connectivity<2>::unit();
+  const std::uint64_t cid = resil::connectivity_id(conn);
+  struct Pin {
+    int p;
+    std::uint32_t full, delta;
+  };
+  for (const Pin pin : {Pin{1, 0xa5af0dfau, 0x61b1211cu}, Pin{3, 0x26c28e62u, 0xc218644eu}}) {
+    const std::string dir = test_dir("pin_p" + std::to_string(pin.p));
+    par::run(pin.p, [&](par::Comm& c) {
+      resil::CheckpointRing ring(dir, 3);
+      auto f = make_forest(c, conn);
+      resil::write_checkpoint_ring(f, cid, 1, {make_field(f, "eps", 1)}, ring);
+      forest::DeltaSet<2> delta(f.num_trees());
+      f.refine(5, false, [](int, const Octant<2>& o) { return o.x == 0 && o.y == 0; }, &delta);
+      f.balance_incremental(delta);
+      resil::write_delta_checkpoint_ring(f, cid, 2, {make_field(f, "eps", 1)}, delta, ring);
+    });
+    const auto entries = resil::CheckpointRing(dir, 3).entries();
+    ASSERT_EQ(entries.size(), 2u);
+    ASSERT_TRUE(resil::CheckpointRing::is_delta(entries[1]));
+    EXPECT_EQ(file_crc(entries[0]), pin.full) << "full snapshot, P=" << pin.p;
+    EXPECT_EQ(file_crc(entries[1]), pin.delta) << "delta, P=" << pin.p;
+    fs::remove_all(dir);
+  }
 }
 
 TEST(RankKill, DeterministicVictimAndFailurePropagation) {
@@ -641,11 +806,11 @@ TEST(Checkpoint, TruncateTailAndTornWriteFallBackThroughRing) {
       EXPECT_TRUE(diagnosed) << msg;
     }
 
-    // ...and restore_latest quarantines it and falls back to step 1.
+    // ...and restore_latest_chain quarantines it and falls back to step 1.
     par::run(2, [&](par::Comm& c) {
       resil::CheckpointRing r2(dir, 3);
       int fallbacks = -1;
-      auto r = resil::restore_latest<2>(c, conn, cid, r2, &fallbacks);
+      auto r = resil::restore_latest_chain<2>(c, conn, cid, r2, &fallbacks);
       EXPECT_EQ(r.step, 1u) << resil::corrupt_kind_name(kind);
       EXPECT_EQ(fallbacks, 1);
     });
@@ -673,7 +838,7 @@ TEST(Checkpoint, WriteVerifyHealsInjectedDiskFaults) {
       resil::write_checkpoint_ring(f, cid, static_cast<std::uint64_t>(s), {eps}, ring);
     }
     // Every commit was eventually published despite the injected faults...
-    auto r = resil::restore_latest<2>(c, conn, cid, ring);
+    auto r = resil::restore_latest_chain<2>(c, conn, cid, ring);
     EXPECT_EQ(r.step, static_cast<std::uint64_t>(steps - 1));
     EXPECT_EQ(r.forest.checksum(), f.checksum());
     ASSERT_EQ(r.fields.size(), 1u);
@@ -795,11 +960,8 @@ std::uint64_t elastic_u64_body(par::Comm& c, resil::RecoveryContext& ctx,
   auto f = make_forest(c, conn);
   std::uint64_t state = 0x243f6a8885a308d3ULL;
   int k0 = 0;
-  int have = 0;
-  if (c.rank() == 0) have = ring.entries().empty() ? 0 : 1;
-  have = c.bcast(have, 0);
-  if (have != 0) {
-    auto r = resil::restore_latest<2>(c, conn, cid, ring);
+  if (resil::ring_probe(c, ring)) {
+    auto r = resil::restore_latest_chain<2>(c, conn, cid, ring);
     if (c.rank() == 0) ctx.record_restore(r.bytes_read);
     k0 = static_cast<int>(r.step) + 1;
     EXPECT_EQ(r.forest.checksum(), f.checksum());  // static mesh, any partition

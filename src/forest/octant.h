@@ -98,11 +98,12 @@ struct Octant {
 
   friend constexpr bool operator==(const Octant&, const Octant&) = default;
 
-  /// True if the octant lies inside the root domain of its tree.
+  /// True if the octant lies inside the root domain of its tree. The bound
+  /// is written as `x <= root_len - h` so that no int32 coordinate overflows.
   constexpr bool inside_root() const {
     const std::int32_t h = size();
-    bool ok = x >= 0 && x + h <= root_len && y >= 0 && y + h <= root_len;
-    if constexpr (Dim == 3) ok = ok && z >= 0 && z + h <= root_len;
+    bool ok = x >= 0 && x <= root_len - h && y >= 0 && y <= root_len - h;
+    if constexpr (Dim == 3) ok = ok && z >= 0 && z <= root_len - h;
     return ok;
   }
 

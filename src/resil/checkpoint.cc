@@ -583,7 +583,9 @@ void write_image(const forest::Forest<Dim>& f, std::uint64_t conn_id, std::uint6
 /// their field values) back in by SFC order, tree by tree. The writer
 /// guarantees a delta's leaves are exactly the current leaves inside its
 /// regions, so the merge result is the full leaf sequence at the delta's
-/// step; a merge that is not a linear octree is rejected as corrupt.
+/// step; a merge that is not a linear octree is rejected as corrupt. The
+/// merge is built aside and moved into `img` only once every tree passed, so
+/// a rejected delta leaves the base image intact for the chain's fallback.
 template <int Dim>
 void apply_delta(Image<Dim>& img, const Image<Dim>& d, const std::string& path) {
   using Oct = forest::Octant<Dim>;
@@ -606,6 +608,7 @@ void apply_delta(Image<Dim>& img, const Image<Dim>& d, const std::string& path) 
                        flds[fi].data.begin() + static_cast<std::ptrdiff_t>((i + 1) * w));
     }
   };
+  Trees<Dim> mtrees(img.octants.size());
   std::size_t ib = 0, id = 0;  // leaf indices into the base / delta fields
   for (std::size_t t = 0; t < img.octants.size(); ++t) {
     const std::vector<Oct>& reg = d.regions[t];  // sorted and disjoint (decoded)
@@ -620,7 +623,7 @@ void apply_delta(Image<Dim>& img, const Image<Dim>& d, const std::string& path) 
       }
       return it != reg.begin() && std::prev(it)->contains(o);
     };
-    std::vector<Oct> merged;
+    std::vector<Oct>& merged = mtrees[t];
     merged.reserve(base.size() + leaves.size());
     std::size_t b = 0, e = 0;
     while (b < base.size() || e < leaves.size()) {
@@ -638,8 +641,8 @@ void apply_delta(Image<Dim>& img, const Image<Dim>& d, const std::string& path) 
     if (!forest::is_linear_octree(merged) || !covers_root(merged)) {
       corrupt(path, "delta leaves do not merge into a complete linear octree");
     }
-    img.octants[t] = std::move(merged);
   }
+  img.octants = std::move(mtrees);
   for (std::size_t fi = 0; fi < img.fields.size(); ++fi) {
     img.fields[fi].data = std::move(mdata[fi]);
   }

@@ -50,8 +50,10 @@
 // CheckpointRing retains the last K entries in a directory. There is one
 // ring restore, restore_latest_chain: it falls back past corrupt full
 // snapshots and replays the longest valid delta prefix above the newest
-// valid one, quarantining bad files by renaming them *.bad. A ring of full
-// snapshots only is the chain with no deltas.
+// valid one, quarantining bad files by renaming them *.bad. A delta is
+// replayed whole or not at all: a rejected one leaves the prefix's leaves
+// and fields as they were. A ring of full snapshots only is the chain with
+// no deltas.
 #pragma once
 
 #include <cstdint>

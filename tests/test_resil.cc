@@ -198,7 +198,8 @@ void edit_record(std::vector<char>& payload, std::size_t rec, std::size_t word,
 /// sequence illegal (a tree outside the connectivity, a level past the
 /// 32-bit shift or past the 2D max_level of 29, a misaligned corner, two
 /// records out of SFC order, a leaf replaced by its first child so the
-/// leaves no longer cover the tree).
+/// leaves no longer cover the tree, an aligned last leaf at x = 2^31 - size,
+/// where x + size overflows int32).
 struct OctantCraft {
   std::string name;
   std::function<void(std::vector<char>&)> edit;
@@ -226,6 +227,16 @@ std::vector<OctantCraft> octant_crafts() {
       {"hole",
        [](std::vector<char>& p) {
          edit_record(p, 0, kOctLevel, [](std::int32_t l) { return l + 1; });
+       }},
+      {"outside",
+       [](std::vector<char>& p) {
+         const std::size_t last = p.size() / kOctMsgSize - 1;
+         std::int32_t level = 0;
+         std::memcpy(&level, p.data() + last * kOctMsgSize + kOctLevel, sizeof(level));
+         const std::int64_t size = Octant<2>::root_len >> level;
+         edit_record(p, last, kOctX, [size](std::int32_t) {
+           return static_cast<std::int32_t>(std::int64_t{Octant<2>::root_len} * 4 - size);
+         });
        }},
   };
 }
@@ -493,10 +504,11 @@ TEST(Checkpoint, IllegalOctantRecordsFallBackThroughRing) {
 namespace {
 
 // A ring {full step 1, delta step 2} whose delta is crafted: the chain must
-// end at the full snapshot, quarantining the delta.
+// end at the full snapshot, quarantining the delta, and restore the step-1
+// leaves together with their own field values.
 void expect_crafted_delta_ends_chain(const std::string& name,
-                                     const std::function<void(const std::string&)>& craft) {
-  const auto conn = Connectivity<2>::unit();
+                                     const std::function<void(const std::string&)>& craft,
+                                     const Connectivity<2>& conn = Connectivity<2>::unit()) {
   const std::uint64_t cid = resil::connectivity_id(conn);
   const std::string dir = test_dir(name);
   par::run(2, [&](par::Comm& c) {
@@ -517,8 +529,25 @@ void expect_crafted_delta_ends_chain(const std::string& name,
     auto r = resil::restore_latest_chain<2>(c, conn, cid, r2, &fallbacks);
     EXPECT_EQ(r.step, 1u) << name;
     EXPECT_EQ(fallbacks, 1) << name;
+    ASSERT_EQ(r.fields.size(), 1u) << name;
+    EXPECT_TRUE(bits_equal(r.fields[0].data, make_field(r.forest, "eps", 1).data)) << name;
   });
   fs::remove_all(dir);
+}
+
+/// Move the last delta leaf to the far corner of its tree's root, outside
+/// every region: the records stay legal and in SFC order, but the leaf
+/// overlaps the base leaf there, so the replay is no linear octree.
+void craft_far_corner_leaf(const std::string& path) {
+  reseal_section(path, "doctants", [](std::vector<char>& p) {
+    const std::size_t last = p.size() / kOctMsgSize - 1;
+    std::int32_t level = 0;
+    std::memcpy(&level, p.data() + last * kOctMsgSize + kOctLevel, sizeof(level));
+    const std::int32_t corner = Octant<2>::root_len - (Octant<2>::root_len >> level);
+    for (const std::size_t word : {kOctX, kOctY}) {
+      edit_record(p, last, word, [corner](std::int32_t) { return corner; });
+    }
+  });
 }
 
 }  // namespace
@@ -528,20 +557,12 @@ TEST(Checkpoint, CraftedDeltaDescriptorEndsTheChainAtTheFullSnapshot) {
   expect_crafted_delta_ends_chain("crafted_doctants", [](const std::string& path) {
     reseal_section(path, "doctants", octant_crafts().front().edit);  // tree 7
   });
-  // The last delta leaf moved to the far corner of the root, outside every
-  // region: the records stay legal and in SFC order, but the leaf overlaps
-  // the base leaf there, so the replay is no linear octree.
-  expect_crafted_delta_ends_chain("crafted_doctants_far", [](const std::string& path) {
-    reseal_section(path, "doctants", [](std::vector<char>& p) {
-      const std::size_t last = p.size() / kOctMsgSize - 1;
-      std::int32_t level = 0;
-      std::memcpy(&level, p.data() + last * kOctMsgSize + kOctLevel, sizeof(level));
-      const std::int32_t corner = Octant<2>::root_len - (Octant<2>::root_len >> level);
-      for (const std::size_t word : {kOctX, kOctY}) {
-        edit_record(p, last, word, [corner](std::int32_t) { return corner; });
-      }
-    });
-  });
+  expect_crafted_delta_ends_chain("crafted_doctants_far", craft_far_corner_leaf);
+  // The same break in the last tree of a 2x2 brick: the earlier trees merge
+  // cleanly before the replay is rejected, and none of their delta leaves
+  // may reach the restored forest.
+  expect_crafted_delta_ends_chain("crafted_doctants_last_tree", craft_far_corner_leaf,
+                                  Connectivity<2>::brick({2, 2}, {false, false}));
 }
 
 // The v1 on-disk format, pinned: a fixed 2D forest with one field, written

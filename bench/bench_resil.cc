@@ -268,16 +268,16 @@ std::vector<MttrRow> mttr_table() {
     // One ring per cell, created up front: the retry must find the previous
     // attempt's snapshots (a fresh scratch per attempt would defeat restore).
     const std::string dir = scratch_dir(std::string("mttr_") + fault + "_" + layer);
-    const auto a0 = par::arq_stats();
+    par::CommStats totals;
+    opts.totals = &totals;
     const auto stats = resil::supervise(
         P, opts, sopt, nullptr, [&](par::Comm& c, resil::RecoveryContext& ctx) {
           mttr_body(c, ctx, conn, cid, dir);
         });
-    const auto a1 = par::arq_stats();
     MttrRow row{fault, layer, 0, stats.detect_s, 0.0};
     if (link_layer) {
-      row.heals = static_cast<int>(a1.healed - a0.healed);
-      row.mttr_s = row.heals > 0 ? (a1.heal_s - a0.heal_s) / row.heals : 0.0;
+      row.heals = static_cast<int>(totals.arq_healed);
+      row.mttr_s = row.heals > 0 ? totals.arq_heal_s / row.heals : 0.0;
     } else {
       row.heals = stats.repairs;
       row.mttr_s = stats.mttr_s();

@@ -47,14 +47,6 @@ struct BlockClear {
 /// even with timeouts disabled).
 constexpr double detect_slice_s = 0.05;
 
-/// Release the sender-retained ARQ payload for a verified message (the
-/// receiver-side ack). No-op for messages that were never retained.
-void arq_ack(World* w, int dest, const Message& m) {
-  auto& box = *w->retain[static_cast<std::size_t>(dest)];
-  std::lock_guard<std::mutex> lock(box.m);
-  if (box.entries.erase({m.source, m.seq}) != 0) detail::arq_note_acked(w->opts.arq_scope);
-}
-
 }  // namespace
 
 void World::hb_check(int rank, const char* what, check::Site site) {
@@ -177,6 +169,12 @@ void Comm::maybe_kill() {
 
 bool Comm::arq_active() const noexcept { return integrity_ && world_->opts.arq.enabled; }
 
+void Comm::arq_ack(const Message& m) {
+  auto& box = *world_->retain[static_cast<std::size_t>(rank_)];
+  std::lock_guard<std::mutex> lock(box.m);
+  if (box.entries.erase({m.source, m.seq}) != 0) ++stats().arq_acked;
+}
+
 void Comm::send_impl(bool coll, int dest, int tag, Buffer payload) {
   ESAMR_ASSERT(dest >= 0 && dest < world_->size, rank_,
                "par::send: destination rank " + std::to_string(dest) + " out of range [0, " +
@@ -201,7 +199,7 @@ void Comm::send_impl(bool coll, int dest, int tag, Buffer payload) {
       auto& box = *world_->retain[static_cast<std::size_t>(dest)];
       std::lock_guard<std::mutex> lock(box.m);
       box.entries.insert_or_assign({rank_, msg.seq}, World::RetainEntry{msg.payload, msg.seal});
-      detail::arq_note_retained(world_->opts.arq_scope);
+      ++stats().arq_retained;
     }
   }
 
@@ -319,7 +317,7 @@ void Comm::verify_envelope(Message& m, const char* what) {
   // never copies the payload.
   const std::uint32_t got = check::Checker::crc32c(m.data(), m.size());
   if (m.size() == m.seal.nbytes && got == m.seal.crc) {
-    if (arq_active()) arq_ack(world_, rank_, m);
+    if (arq_active()) arq_ack(m);
     return;
   }
   ++st.corrupt_detected;
@@ -353,7 +351,6 @@ void Comm::verify_envelope(Message& m, const char* what) {
       for (int attempt = 1; attempt <= arq.max_retransmits; ++attempt) {
         ++st.retransmits;
         ++retransmits_spent;
-        detail::arq_note_retransmit(world_->opts.arq_scope);
         backoff.sleep();
         world_->hb_beat(rank_);
         Buffer fresh = entry.payload;
@@ -371,15 +368,14 @@ void Comm::verify_envelope(Message& m, const char* what) {
         if (fresh.size() == entry.seal.nbytes && crc == entry.seal.crc) {
           m.payload = std::move(fresh);
           ++st.arq_healed;
-          detail::arq_note_healed(world_->opts.arq_scope, wall_seconds() - t0);
-          arq_ack(world_, rank_, m);
+          st.arq_heal_s += wall_seconds() - t0;
+          arq_ack(m);
           return;
         }
         ++st.corrupt_detected;
       }
     }
     ++st.arq_escalations;
-    detail::arq_note_escalated(world_->opts.arq_scope);
   }
   char buf[256];
   std::snprintf(buf, sizeof(buf),
@@ -422,9 +418,8 @@ Message Comm::recv(int source, int tag, std::source_location loc) {
   return out;
 }
 
-bool Comm::try_recv_impl(bool coll, int source, int tag, Message* out) {
-  auto& box = coll ? *world_->coll_mail[static_cast<std::size_t>(rank_)]
-                   : *world_->mail[static_cast<std::size_t>(rank_)];
+bool Comm::try_recv_impl(int source, int tag, Message* out) {
+  auto& box = *world_->mail[static_cast<std::size_t>(rank_)];
   const double now = wall_seconds();
   std::lock_guard<std::mutex> lock(box.m);
   if (world_->poisoned.load()) throw detail::WorldPoisoned{};
@@ -463,11 +458,6 @@ Request Comm::isend(int dest, int tag, Buffer payload, std::source_location loc)
   return Request(std::move(st));
 }
 
-Request Comm::isend_bytes(int dest, int tag, const void* data, std::size_t nbytes,
-                          std::source_location loc) {
-  return isend(dest, tag, Buffer::copy_of(data, nbytes), loc);
-}
-
 Request Comm::irecv(int source, int tag, std::source_location loc) {
   maybe_kill();
   perturb();
@@ -496,7 +486,7 @@ bool Comm::req_test(detail::RequestState& st) {
     }
     case detail::RequestState::Kind::recv: {
       Message m;
-      if (!try_recv_impl(false, st.source, st.tag, &m)) return false;
+      if (!try_recv_impl(st.source, st.tag, &m)) return false;
       verify_envelope(m, "irecv");
       auto& s = stats();
       ++s.p2p_recvs;
@@ -506,11 +496,6 @@ bool Comm::req_test(detail::RequestState& st) {
       st.done = true;
       return true;
     }
-    case detail::RequestState::Kind::coll:
-      if (!st.coll->step(*this, st, /*may_block=*/false)) return false;
-      st.coll.reset();
-      st.done = true;
-      return true;
   }
   return false;
 }
@@ -536,26 +521,19 @@ void Comm::req_wait(detail::RequestState& st) {
       st.done = true;
       return;
     }
-    case detail::RequestState::Kind::coll:
-      (void)st.coll->step(*this, st, /*may_block=*/true);
-      st.coll.reset();
-      st.done = true;
-      return;
   }
 }
 
 void Comm::req_drop(detail::RequestState& st) noexcept {
   if (st.done) return;
-  // Drain without completing: retire the checker region, hand the payload
-  // reference back to the runtime for disposal, abandon any collective state
-  // machine (legal only while the world is unwinding — peers are being
-  // poisoned). A pending irecv leaves its message unconsumed in the mailbox.
+  // Drain without completing: retire the checker region and hand the payload
+  // reference back to the runtime for disposal. A pending irecv leaves its
+  // message unconsumed in the mailbox.
   if (checker_ != nullptr && st.inflight_id != 0) {
     checker_->end_inflight(st.inflight_id);
     st.inflight_id = 0;
   }
   st.held = Buffer{};
-  st.coll.reset();
   ++stats().requests_drained;
   st.done = true;
 }
@@ -587,32 +565,10 @@ Message& Request::message() {
   return st_->msg;
 }
 
-std::span<const std::byte> Request::result_bytes() {
-  ESAMR_ASSERT(st_ != nullptr && st_->done && st_->kind == detail::RequestState::Kind::coll, -1,
-               "par::Request::result_bytes: not a completed collective");
-  return {st_->result.data(), st_->result.size()};
-}
-
-std::vector<std::vector<std::byte>>& Request::parts() {
-  ESAMR_ASSERT(st_ != nullptr && st_->done && st_->kind == detail::RequestState::Kind::coll, -1,
-               "par::Request::parts: not a completed collective");
-  return st_->parts;
-}
-
 void wait_all(std::span<Request> requests) {
   for (auto& r : requests) {
     if (r.valid()) r.wait();
   }
-}
-
-bool Comm::iprobe(int source, int tag) {
-  auto& box = *world_->mail[static_cast<std::size_t>(rank_)];
-  const double now = wall_seconds();
-  std::lock_guard<std::mutex> lock(box.m);
-  for (const auto& m : box.q) {
-    if (matches(m, source, tag) && m.visible_at <= now) return true;
-  }
-  return false;
 }
 
 void Comm::barrier(std::source_location loc) {
@@ -664,6 +620,9 @@ void run(int nranks, const RunOptions& opts, const std::function<void(Comm&)>& f
     });
   }
   for (auto& t : threads) t.join();
+  if (opts.totals != nullptr) {
+    for (const auto& st : world.stats) *opts.totals += st;
+  }
   for (auto& e : errors) {
     if (e) std::rethrow_exception(e);
   }

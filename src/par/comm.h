@@ -15,10 +15,16 @@
 // byte volumes mirror what the paper's cost model analyzes.
 // tests/test_collectives.cc checks each against a sequential oracle.
 //
-// Every rank carries a CommStats (par/stats.h) with message/byte counters and
-// blocked-time accounting, and RunOptions can enable deterministic fault
-// injection (par/inject.h) plus recv/barrier timeouts that turn silent
-// deadlocks into a TimeoutError naming the blocked rank and envelope.
+// Point-to-point traffic may also be posted nonblocking (isend/irecv, with a
+// Request per operation); every collective is blocking and has exactly one
+// implementation.
+//
+// Every rank carries a CommStats (par/stats.h) with message/byte counters,
+// integrity and link-level ARQ event counts, and blocked-time accounting;
+// RunOptions::totals receives their sum over the ranks once they join.
+// RunOptions can also enable deterministic fault injection (par/inject.h)
+// plus recv/barrier timeouts that turn silent deadlocks into a TimeoutError
+// naming the blocked rank and envelope.
 #pragma once
 
 #include <cstddef>
@@ -41,9 +47,9 @@
 
 namespace esamr::par {
 
-/// Wildcard for Comm::recv / Comm::iprobe source matching.
+/// Wildcard for Comm::recv / Comm::irecv source matching.
 inline constexpr int any_source = -1;
-/// Wildcard for Comm::recv / Comm::iprobe tag matching.
+/// Wildcard for Comm::recv / Comm::irecv tag matching.
 inline constexpr int any_tag = -1;
 
 /// Reduction operators for Comm::allreduce / Comm::reduce.
@@ -80,13 +86,13 @@ struct RunOptions {
   /// Link-level retransmission of corrupt messages (see ArqConfig). Active
   /// only when `integrity` is also on.
   ArqConfig arq{};
-  /// Optional caller-owned ARQ accounting scope (par/stats.h): when set,
-  /// every link-level ARQ event in this world bumps these counters in
-  /// addition to the process-wide ArqStats. resil::supervise installs one per
-  /// supervised run unless the caller provided its own, so concurrent
-  /// supervisors (the serving layer) never read each other's heals. Not
-  /// owned; must outlive the run.
-  ArqScope* arq_scope = nullptr;
+  /// Optional caller-owned sink for the run's comm counters: after the ranks
+  /// join, par::run adds every rank's CommStats into it, on the normal path
+  /// and before it rethrows a rank's error. The fold runs on the caller's
+  /// thread, so the sink needs no synchronisation. This is how callers see
+  /// link-layer ARQ heals, which by design never surface as exceptions.
+  /// Not owned; must outlive the run.
+  CommStats* totals = nullptr;
   /// Heartbeat failure detection: every comm operation (and every slice of a
   /// blocked wait) stamps the rank's liveness; a rank silent for longer than
   /// this window — and not yet returned from its SPMD function — is declared
@@ -195,7 +201,7 @@ struct Message {
   /// the receiver in place — no second copy on either side.
   Seal seal;
   /// Internal: earliest wall time (par::wall_seconds) at which the message
-  /// is visible to recv/iprobe under fault injection. 0 = immediately.
+  /// is visible to recv/irecv under fault injection. 0 = immediately.
   double visible_at = 0.0;
   /// Internal: the sender's vector clock at send time, stamped only when the
   /// correctness checker (par/check.h) is enabled; carries the
@@ -251,15 +257,13 @@ class Comm;
 
 namespace detail {
 struct RequestState;
-struct CollOp;
 }  // namespace detail
 
-/// Handle for a pending nonblocking operation (isend / irecv / iallreduce /
-/// iallgatherv). Move-only. Completion semantics:
+/// Handle for a pending nonblocking point-to-point operation (isend /
+/// irecv). Move-only. Completion semantics:
 ///   - test(): one nonblocking progress attempt; true once complete.
 ///   - wait(): block (with the usual timeout / deadlock machinery) until
-///     complete, then return. Results are read through message() (irecv),
-///     result<T>() (iallreduce), or parts()/parts_as<T>() (iallgatherv).
+///     complete, then return. A receive's message is read through message().
 ///   - Destroying an incomplete Request drains it: ownership of a send
 ///     buffer returns to the runtime for disposal and the checker's
 ///     in-flight region is retired (CommStats::requests_drained counts it).
@@ -282,31 +286,6 @@ class Request {
 
   /// The received message (irecv only; wait()/test() must have completed).
   Message& message();
-  /// The reduced result bytes (iallreduce only, after completion).
-  std::span<const std::byte> result_bytes();
-  template <typename T>
-  T result() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto raw = result_bytes();
-    T out;
-    ESAMR_ASSERT(raw.size() == sizeof(T), -1,
-                 "par::Request::result: payload size mismatch");
-    std::memcpy(&out, raw.data(), sizeof(T));
-    return out;
-  }
-  /// Per-rank payloads (iallgatherv only, after completion).
-  std::vector<std::vector<std::byte>>& parts();
-  template <typename T>
-  std::vector<std::vector<T>> parts_as() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    auto& raw = parts();
-    std::vector<std::vector<T>> out(raw.size());
-    for (std::size_t r = 0; r < raw.size(); ++r) {
-      out[r].resize(raw[r].size() / sizeof(T));
-      if (!out[r].empty()) std::memcpy(out[r].data(), raw[r].data(), raw[r].size());
-    }
-    return out;
-  }
 
  private:
   friend class Comm;
@@ -361,9 +340,6 @@ class Comm {
   Message recv(int source = any_source, int tag = any_tag,
                std::source_location loc = std::source_location::current());
 
-  /// Non-blocking test for a matching (visible) message.
-  bool iprobe(int source = any_source, int tag = any_tag);
-
   // --- Nonblocking point-to-point ------------------------------------------
   // isend posts the message immediately (sends are buffered, so the transfer
   // itself cannot block); the Request tracks buffer ownership: from post to
@@ -380,9 +356,6 @@ class Comm {
                 std::source_location loc = std::source_location::current()) {
     return isend(dest, tag, Buffer::adopt_vec(std::move(payload)), loc);
   }
-  /// Nonblocking send that copies [data, data+nbytes) (compatibility path).
-  Request isend_bytes(int dest, int tag, const void* data, std::size_t nbytes,
-                      std::source_location loc = std::source_location::current());
 
   /// Nonblocking receive of the first message matching (source, tag).
   Request irecv(int source = any_source, int tag = any_tag,
@@ -392,36 +365,6 @@ class Comm {
   /// into `acc`; both point at `nbytes` bytes. Must be commutative (all
   /// ReduceOp combiners are).
   using Combine = std::function<void(void* acc, const void* in)>;
-
-  // --- Nonblocking collectives ----------------------------------------------
-  // Split-phase p2p algorithms: the request is posted (and the collective
-  // sequence slot claimed) immediately, rounds advance inside test()/wait().
-  // Every rank must POST async collectives in the same order it would call
-  // the blocking twins; completion order is free. Results are bit-identical
-  // to the blocking algorithms and generate identical wire traffic.
-
-  Request iallreduce_bytes(const void* data, std::size_t nbytes, const Combine& op,
-                           std::source_location loc = std::source_location::current());
-  template <typename T>
-  Request iallreduce(const T& v, ReduceOp op,
-                     std::source_location loc = std::source_location::current()) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return iallreduce_bytes(&v, sizeof(T), combine_fn<T>(op), loc);
-  }
-
-  Request iallgatherv_bytes(const void* data, std::size_t nbytes,
-                            std::source_location loc = std::source_location::current());
-  template <typename T>
-  Request iallgatherv(std::span<const T> v,
-                      std::source_location loc = std::source_location::current()) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return iallgatherv_bytes(v.data(), v.size_bytes(), loc);
-  }
-  template <typename T>
-  Request iallgatherv(const std::vector<T>& v,
-                      std::source_location loc = std::source_location::current()) {
-    return iallgatherv(std::span<const T>(v), loc);
-  }
 
   // --- Collectives ---------------------------------------------------------
   // All ranks must call each collective in the same order. The typed
@@ -606,9 +549,10 @@ class Comm {
   // Implemented in comm.cc.
   void send_impl(bool coll, int dest, int tag, Buffer payload);
   Message recv_impl(bool coll, int source, int tag, const char* what, check::Site site);
-  /// Nonblocking matching scan of the mailbox; true (and *out filled) when a
-  /// visible matching message was consumed. No blocking, no wait publishing.
-  bool try_recv_impl(bool coll, int source, int tag, Message* out);
+  /// Nonblocking matching scan of the user mailbox; true (and *out filled)
+  /// when a visible matching message was consumed. No blocking, no wait
+  /// publishing.
+  bool try_recv_impl(int source, int tag, Message* out);
   // Request plumbing (comm.cc): one nonblocking progress attempt, blocking
   /// completion, and the destructor's non-throwing drain.
   bool req_test(detail::RequestState& st);
@@ -625,6 +569,9 @@ class Comm {
   void verify_envelope(Message& m, const char* what);
   /// True when the link-level ARQ layer is active (integrity + arq.enabled).
   bool arq_active() const noexcept;
+  /// Release the sender-retained ARQ payload for a verified message (the
+  /// receiver-side ack). No-op for messages that were never retained.
+  void arq_ack(const Message& m);
 
   // Collective plumbing and algorithms, implemented in collectives.cc.
   /// `invariant` is the fingerprint component every rank must agree on (the
@@ -636,19 +583,8 @@ class Comm {
   /// cross-check it through the ledger (no-op below ESAMR_CHECK=2).
   void coll_check_result(const void* data, std::size_t nbytes);
   void coll_check_result(const std::vector<std::vector<std::byte>>& parts);
-  /// As above with an explicit collective sequence number and site — async
-  /// collectives complete out of lockstep, so they carry their own seq.
-  void coll_check_result_at(std::uint64_t seq, check::Site site, const void* data,
-                            std::size_t nbytes);
-  void coll_check_result_at(std::uint64_t seq, check::Site site,
-                            const std::vector<std::vector<std::byte>>& parts);
   void send_coll(int dest, int round, const void* data, std::size_t nbytes);
   Message recv_coll(int source, int round, Coll kind);
-  /// Tag-base-explicit variants used by the split-phase async collectives
-  /// (the member coll_tag_base_ may have moved on to a later collective).
-  void send_coll_at(int tag_base, int dest, int round, const void* data, std::size_t nbytes);
-  Message recv_coll_at(int tag_base, int source, int round, Coll kind, check::Site site);
-  bool try_recv_coll_at(int tag_base, int source, int round, Coll kind, Message* out);
 
   std::vector<std::vector<std::byte>> rd_allgather(const void* data, std::size_t nbytes);
   std::vector<std::vector<std::byte>> ring_allgatherv(const void* data, std::size_t nbytes,
@@ -660,8 +596,6 @@ class Comm {
   std::vector<std::vector<std::byte>> pairwise_alltoall(
       std::vector<std::vector<std::byte>> sendbufs);
 
-  friend struct detail::RequestState;
-  friend struct detail::CollOp;
   friend class Request;
 
   World* world_;

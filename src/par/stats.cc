@@ -1,98 +1,8 @@
 #include "par/stats.h"
 
-#include <atomic>
 #include <cstdio>
 
 namespace esamr::par {
-
-namespace {
-
-// Process-wide ARQ counters (BufferStats pattern): relaxed atomics, heal
-// latency accumulated via CAS so the double stays exact under concurrency.
-std::atomic<std::int64_t> g_arq_retained{0};
-std::atomic<std::int64_t> g_arq_acked{0};
-std::atomic<std::int64_t> g_arq_retransmits{0};
-std::atomic<std::int64_t> g_arq_healed{0};
-std::atomic<std::int64_t> g_arq_escalated{0};
-std::atomic<double> g_arq_heal_s{0.0};
-
-}  // namespace
-
-ArqStats arq_stats() {
-  ArqStats s;
-  s.retained = g_arq_retained.load(std::memory_order_relaxed);
-  s.acked = g_arq_acked.load(std::memory_order_relaxed);
-  s.retransmits = g_arq_retransmits.load(std::memory_order_relaxed);
-  s.healed = g_arq_healed.load(std::memory_order_relaxed);
-  s.escalated = g_arq_escalated.load(std::memory_order_relaxed);
-  s.heal_s = g_arq_heal_s.load(std::memory_order_relaxed);
-  return s;
-}
-
-void arq_stats_reset() {
-  g_arq_retained.store(0, std::memory_order_relaxed);
-  g_arq_acked.store(0, std::memory_order_relaxed);
-  g_arq_retransmits.store(0, std::memory_order_relaxed);
-  g_arq_healed.store(0, std::memory_order_relaxed);
-  g_arq_escalated.store(0, std::memory_order_relaxed);
-  g_arq_heal_s.store(0.0, std::memory_order_relaxed);
-}
-
-ArqStats ArqScope::snapshot() const {
-  ArqStats s;
-  s.retained = retained.load(std::memory_order_relaxed);
-  s.acked = acked.load(std::memory_order_relaxed);
-  s.retransmits = retransmits.load(std::memory_order_relaxed);
-  s.healed = healed.load(std::memory_order_relaxed);
-  s.escalated = escalated.load(std::memory_order_relaxed);
-  s.heal_s = heal_s.load(std::memory_order_relaxed);
-  return s;
-}
-
-namespace detail {
-
-namespace {
-
-// Exact accumulation of a double under concurrency (the CAS loop the global
-// heal clock already used, shared with the scoped one).
-void atomic_add(std::atomic<double>& acc, double v) {
-  double cur = acc.load(std::memory_order_relaxed);
-  while (!acc.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
-void arq_note_retained(ArqScope* scope) {
-  g_arq_retained.fetch_add(1, std::memory_order_relaxed);
-  if (scope != nullptr) scope->retained.fetch_add(1, std::memory_order_relaxed);
-}
-
-void arq_note_acked(ArqScope* scope) {
-  g_arq_acked.fetch_add(1, std::memory_order_relaxed);
-  if (scope != nullptr) scope->acked.fetch_add(1, std::memory_order_relaxed);
-}
-
-void arq_note_retransmit(ArqScope* scope) {
-  g_arq_retransmits.fetch_add(1, std::memory_order_relaxed);
-  if (scope != nullptr) scope->retransmits.fetch_add(1, std::memory_order_relaxed);
-}
-
-void arq_note_healed(ArqScope* scope, double heal_s) {
-  g_arq_healed.fetch_add(1, std::memory_order_relaxed);
-  atomic_add(g_arq_heal_s, heal_s);
-  if (scope != nullptr) {
-    scope->healed.fetch_add(1, std::memory_order_relaxed);
-    atomic_add(scope->heal_s, heal_s);
-  }
-}
-
-void arq_note_escalated(ArqScope* scope) {
-  g_arq_escalated.fetch_add(1, std::memory_order_relaxed);
-  if (scope != nullptr) scope->escalated.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace detail
 
 const char* coll_name(Coll k) {
   switch (k) {
@@ -126,9 +36,12 @@ CommStats& CommStats::operator+=(const CommStats& o) {
   }
   corrupt_detected += o.corrupt_detected;
   bytes_verified += o.bytes_verified;
+  arq_retained += o.arq_retained;
+  arq_acked += o.arq_acked;
   retransmits += o.retransmits;
   arq_healed += o.arq_healed;
   arq_escalations += o.arq_escalations;
+  arq_heal_s += o.arq_heal_s;
   recv_blocked_s += o.recv_blocked_s;
   barrier_blocked_s += o.barrier_blocked_s;
   return *this;
@@ -151,9 +64,12 @@ CommStats& CommStats::operator-=(const CommStats& o) {
   }
   corrupt_detected -= o.corrupt_detected;
   bytes_verified -= o.bytes_verified;
+  arq_retained -= o.arq_retained;
+  arq_acked -= o.arq_acked;
   retransmits -= o.retransmits;
   arq_healed -= o.arq_healed;
   arq_escalations -= o.arq_escalations;
+  arq_heal_s -= o.arq_heal_s;
   recv_blocked_s -= o.recv_blocked_s;
   barrier_blocked_s -= o.barrier_blocked_s;
   return *this;

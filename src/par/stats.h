@@ -2,15 +2,17 @@
 //
 // Every Comm carries a CommStats: point-to-point message/byte counters,
 // per-collective invocation counts and payloads, the wire traffic generated
-// *inside* the collective algorithms, and the wall time a rank spent blocked
-// in recv/barrier. The byte accounting rule (see DESIGN.md): each message
+// *inside* the collective algorithms, the integrity and link-level ARQ
+// events, and the wall time a rank spent blocked in recv/barrier. Each event
+// is counted once, here, by the rank thread that saw it; callers that need a
+// run's totals pass RunOptions::totals, which par::run fills after the ranks
+// join. The byte accounting rule (see DESIGN.md): each message
 // internal to a collective algorithm is counted once, at the sender
 // (coll_msgs / coll_bytes). The collectives test pins the exact per-algorithm
 // volumes this gives at P = 16.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -33,8 +35,10 @@ inline constexpr int n_coll_kinds = static_cast<int>(Coll::n_kinds);
 
 const char* coll_name(Coll k);
 
-/// Per-rank counters. Plain values, so a snapshot is a copy.
-struct CommStats {
+/// Per-rank counters. Plain values, so a snapshot is a copy. Cache-line
+/// aligned: World keeps one per rank in a contiguous vector and each rank
+/// thread writes its own on every message, so no two ranks may share a line.
+struct alignas(64) CommStats {
   // User point-to-point traffic (Comm::send* / Comm::recv). Nonblocking ops
   // count here too (an isend is a p2p_send, an irecv completion a p2p_recv),
   // so blocking and async forms of the same exchange report identical byte
@@ -69,14 +73,21 @@ struct CommStats {
   std::int64_t bytes_verified = 0;
 
   // Link-level ARQ (the cheapest rung of the recovery ladder; see DESIGN.md
-  // "Recovery ladder"). retransmits counts retransmission requests this rank
+  // "Recovery ladder"). arq_retained counts sealed payloads this rank kept as
+  // a sender for retransmission; arq_acked counts retained payloads this rank
+  // released as a receiver once they verified (summed over a finished run,
+  // acked == retained). retransmits counts retransmission requests this rank
   // issued as a receiver; arq_healed counts corrupt envelopes repaired from
-  // the sender's retained payload without escalating; arq_escalations counts
-  // corruptions that exhausted the retransmission budget and escalated to
-  // CorruptMessage (the supervisor layer).
+  // the sender's retained payload without escalating, and arq_heal_s their
+  // total detect-to-heal latency; arq_escalations counts corruptions that
+  // exhausted the retransmission budget and escalated to CorruptMessage (the
+  // supervisor layer).
+  std::int64_t arq_retained = 0;
+  std::int64_t arq_acked = 0;
   std::int64_t retransmits = 0;
   std::int64_t arq_healed = 0;
   std::int64_t arq_escalations = 0;
+  double arq_heal_s = 0.0;
 
   // Wall time this rank spent blocked (includes blocking inside collectives).
   double recv_blocked_s = 0.0;
@@ -98,52 +109,5 @@ struct CommStatsSnapshot {
 
 /// Multi-line human-readable summary (used by the bench drivers).
 std::string summary(const CommStats& s);
-
-/// Process-wide counters for the link-level ARQ layer, following the
-/// BufferStats pattern (par/buffer.h): atomics aggregated across every World
-/// so resil::supervise and the benches can observe link-layer heals that, by
-/// design, never surface as exceptions out of par::run.
-struct ArqStats {
-  std::int64_t retained = 0;     ///< sealed payloads retained for retransmission
-  std::int64_t acked = 0;        ///< retained payloads released by a verified recv
-  std::int64_t retransmits = 0;  ///< retransmission requests served
-  std::int64_t healed = 0;       ///< corrupt envelopes repaired at the link layer
-  std::int64_t escalated = 0;    ///< corruptions that exhausted the ARQ budget
-  double heal_s = 0.0;           ///< total detect-to-heal latency over `healed`
-};
-
-/// Snapshot of the process-wide ARQ counters.
-ArqStats arq_stats();
-/// Reset the process-wide ARQ counters (bench/test phase boundaries).
-void arq_stats_reset();
-
-/// Caller-scoped ARQ accounting (RunOptions::arq_scope): the same counters as
-/// the process-wide ArqStats, but owned by one caller and bumped only by the
-/// world(s) whose RunOptions point at it. resil::supervise installs one per
-/// supervised run (unless the caller provided its own), so concurrent
-/// supervisors — the multi-tenant serving layer runs hundreds — observe only
-/// their *own* link-layer heals instead of reading each other's out of the
-/// process-wide totals. The globals keep accumulating the cross-world sum.
-struct ArqScope {
-  std::atomic<std::int64_t> retained{0};
-  std::atomic<std::int64_t> acked{0};
-  std::atomic<std::int64_t> retransmits{0};
-  std::atomic<std::int64_t> healed{0};
-  std::atomic<std::int64_t> escalated{0};
-  std::atomic<double> heal_s{0.0};
-
-  /// Coherent plain-value copy of the counters.
-  ArqStats snapshot() const;
-};
-
-namespace detail {
-// Each note bumps the process-wide counter and, when `scope` is non-null, the
-// caller's ArqScope (the World threads its RunOptions::arq_scope through).
-void arq_note_retained(ArqScope* scope);
-void arq_note_acked(ArqScope* scope);
-void arq_note_retransmit(ArqScope* scope);
-void arq_note_healed(ArqScope* scope, double heal_s);
-void arq_note_escalated(ArqScope* scope);
-}  // namespace detail
 
 }  // namespace esamr::par

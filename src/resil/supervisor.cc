@@ -81,18 +81,6 @@ enum class Fault { rank_failure, timeout, corrupt_msg, corrupt_ckpt };
 RecoveryStats supervise(int nranks, par::RunOptions opts, const SupervisorOptions& sopts,
                         CheckpointRing* ring, const SupervisedBody& body) {
   RecoveryStats stats;
-  // Link-layer heals never surface as exceptions, so they are observed as a
-  // counter delta across this supervised run — against a *scoped* counter
-  // (par::ArqScope installed into the RunOptions), not the process-wide one,
-  // so concurrent supervisors never read each other's heals. A caller-
-  // provided scope is respected (and read the same delta-wise).
-  par::ArqScope arq_local;
-  if (opts.arq_scope == nullptr) opts.arq_scope = &arq_local;
-  const std::int64_t arq_healed0 = opts.arq_scope->healed.load(std::memory_order_relaxed);
-  const auto arq_healed_delta = [&] {
-    return static_cast<int>(opts.arq_scope->healed.load(std::memory_order_relaxed) -
-                            arq_healed0);
-  };
   // The jittered-exponential restart schedule (one draw per caught fault) —
   // the same stream the pre-refactor inline formula produced, now drawn from
   // the shared seeded-backoff helper. backoff_salt decorrelates concurrent
@@ -106,6 +94,27 @@ RecoveryStats supervise(int nranks, par::RunOptions opts, const SupervisorOption
   int spares_left = sopts.policy.spares;
   double fault_wall = 0.0;  // wall time of the currently-unrepaired fault
 
+  // One par::run launch. Link-layer heals never surface as exceptions, so
+  // they are read from the attempt's own comm totals (folded by par::run after
+  // its ranks join, on every exit path); the totals also flow into the
+  // caller's sink, when one was given.
+  const auto run_attempt = [&](RecoveryContext& ctx) {
+    par::CommStats totals;
+    par::RunOptions run_opts = opts;
+    run_opts.totals = &totals;
+    const auto fold = [&] {
+      stats.healed_link += static_cast<int>(totals.arq_healed);
+      if (opts.totals != nullptr) *opts.totals += totals;
+    };
+    try {
+      par::run(world_size, run_opts, [&](par::Comm& c) { body(c, ctx); });
+    } catch (...) {
+      fold();
+      throw;
+    }
+    fold();
+  };
+
   for (int attempt = 0;; ++attempt) {
     // A suspend requested while no attempt is in flight (e.g. during the
     // backoff sleep between retries, or before the first launch) yields here
@@ -113,7 +122,6 @@ RecoveryStats supervise(int nranks, par::RunOptions opts, const SupervisorOption
     if (sopts.suspend != nullptr && sopts.suspend->requested()) {
       stats.suspended = true;
       stats.ranks_final = world_size;
-      stats.healed_link = arq_healed_delta();
       return stats;
     }
     RecoveryContext ctx(attempt);
@@ -185,11 +193,10 @@ RecoveryStats supervise(int nranks, par::RunOptions opts, const SupervisorOption
 
     ++stats.attempts;
     try {
-      par::run(world_size, opts, [&](par::Comm& c) { body(c, ctx); });
+      run_attempt(ctx);
       settle_mttr();
       stats.bytes_reread += ctx.bytes_reread();
       stats.ranks_final = world_size;
-      stats.healed_link = arq_healed_delta();
       return stats;
     } catch (const Suspended&) {
       // A cooperative checkpoint-and-suspend, not a fault: the body committed
@@ -201,7 +208,6 @@ RecoveryStats supervise(int nranks, par::RunOptions opts, const SupervisorOption
       stats.bytes_reread += ctx.bytes_reread();
       stats.ranks_final = world_size;
       stats.suspended = true;
-      stats.healed_link = arq_healed_delta();
       return stats;
     } catch (const par::RankFailure& e) {
       stats.detect_s += e.silent_s();

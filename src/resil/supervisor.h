@@ -151,8 +151,9 @@ struct RecoveryStats {
   int repairs = 0;        ///< completed fault -> restored intervals
   double repair_s = 0.0;  ///< total wall time across those intervals
   double detect_s = 0.0;  ///< total silent-before-detection time
-  /// Mean time to repair at the supervisor layer (link-layer heals are
-  /// process-wide: see par::arq_stats().heal_s / healed).
+  /// Mean time to repair at the supervisor layer. Link-layer heals are timed
+  /// per rank in par::CommStats::arq_heal_s / arq_healed; pass
+  /// RunOptions::totals to supervise to read them for a supervised run.
   double mttr_s() const { return repairs > 0 ? repair_s / repairs : 0.0; }
 
   /// One message per caught fault, capped at SupervisorOptions::
@@ -251,6 +252,8 @@ using SupervisedBody = std::function<void(par::Comm&, RecoveryContext&)>;
 /// Run `body` as an SPMD section under supervision (see file header).
 /// `ring` may be null when the body manages its own snapshots (it is only
 /// used to quarantine the newest entry after CheckpointCorrupt).
+/// When `opts.totals` is set, every attempt's comm counters are added into it
+/// (failed attempts included, also when the last fault is rethrown).
 /// Throws the last caught fault when retries are exhausted.
 RecoveryStats supervise(int nranks, par::RunOptions opts, const SupervisorOptions& sopts,
                         CheckpointRing* ring, const SupervisedBody& body);

@@ -11,15 +11,13 @@ namespace esamr::serve {
 
 /// Scheduler-internal job record. Addresses are stable (unique_ptr in jobs_)
 /// because the lease worker and the SPMD body hold references. Fields are
-/// guarded by Scheduler::mu_ except: `spec`/`id` (immutable after admission),
-/// `control`/`arq` (internally synchronised), and `comm` (guarded by the
-/// job-local comm_mu so body ranks never contend on the scheduler lock).
+/// guarded by Scheduler::mu_ except: `spec`/`id` (immutable after admission)
+/// and `control` (internally synchronised).
 struct Scheduler::Job {
   int id = -1;
   JobSpec spec;
   JobState state = JobState::queued;
   JobControl control;
-  par::ArqScope arq;
 
   /// Job-scope fault environment: starts as spec.inject; one-shot faults are
   /// cleared after a lease that caught them (see run_lease).
@@ -35,7 +33,6 @@ struct Scheduler::Job {
   int exhaustions = 0;
 
   resil::RecoveryStats recovery;
-  mutable std::mutex comm_mu;
   par::CommStats comm;
 
   double queued_since = 0.0;
@@ -201,8 +198,10 @@ void Scheduler::launch_locked(Job& j, int nranks, double now) {
   j.worker = std::thread([this, jp, nranks] { run_lease(*jp, nranks); });
 }
 
-void Scheduler::end_lease_locked(Job& j, JobState next, const std::string& note, double now) {
+void Scheduler::end_lease_locked(Job& j, const par::CommStats& lease_comm, JobState next,
+                                 const std::string& note, double now) {
   pool_.release(j.slots);
+  j.comm += lease_comm;
   j.run_s += now - j.lease_start;
   j.state = next;
   if (!note.empty()) j.note = note;
@@ -222,7 +221,10 @@ void Scheduler::run_lease(Job& j, int nranks) {
   opts.heartbeat_timeout_s = j.spec.heartbeat_timeout_s;
   opts.recv_timeout_s = j.spec.recv_timeout_s;
   opts.arq.enabled = j.spec.arq_enabled;
-  opts.arq_scope = &j.arq;
+  // Every attempt's comm counters land here (supervise folds them after each
+  // attempt's ranks join); the lease's end adds them to the job under mu_.
+  par::CommStats lease_comm;
+  opts.totals = &lease_comm;
 
   resil::SupervisorOptions sopts;
   sopts.max_retries = j.spec.max_retries;
@@ -235,18 +237,7 @@ void Scheduler::run_lease(Job& j, int nranks) {
 
   resil::CheckpointRing ring(j.spec.ckpt_dir, j.spec.ckpt_keep);
   std::uint64_t digest = 0;
-  const auto inner = make_body(j.spec, &j.control, &digest);
-  const resil::SupervisedBody body = [&](par::Comm& c, resil::RecoveryContext& ctx) {
-    try {
-      inner(c, ctx);
-    } catch (...) {
-      std::lock_guard<std::mutex> lk(j.comm_mu);
-      j.comm += c.stats();
-      throw;
-    }
-    std::lock_guard<std::mutex> lk(j.comm_mu);
-    j.comm += c.stats();
-  };
+  const auto body = make_body(j.spec, &j.control, &digest);
 
   // A lease ends exactly one of four ways; every path releases the slots.
   const auto exhausted = [&](const char* what) {
@@ -257,13 +248,13 @@ void Scheduler::run_lease(Job& j, int nranks) {
     const bool out_of_budget = j.exhaustions > j.spec.relaunches;
     const std::string note = std::string(out_of_budget ? "quarantined: " : "relaunched: ") +
                              "retry budget exhausted (" + what + ")";
-    end_lease_locked(j, out_of_budget ? JobState::quarantined : JobState::queued, note,
-                     par::wall_seconds());
+    end_lease_locked(j, lease_comm, out_of_budget ? JobState::quarantined : JobState::queued,
+                     note, par::wall_seconds());
   };
   const auto bug = [&](const char* what) {
     std::lock_guard<std::mutex> lk(mu_);
-    end_lease_locked(j, JobState::quarantined, std::string("quarantined: tenant bug (") + what +
-                     ")", par::wall_seconds());
+    end_lease_locked(j, lease_comm, JobState::quarantined,
+                     std::string("quarantined: tenant bug (") + what + ")", par::wall_seconds());
   };
 
   try {
@@ -279,10 +270,10 @@ void Scheduler::run_lease(Job& j, int nranks) {
     }
     if (stats.suspended) {
       ++j.preemptions;
-      end_lease_locked(j, JobState::suspended, "", par::wall_seconds());
+      end_lease_locked(j, lease_comm, JobState::suspended, "", par::wall_seconds());
     } else {
       j.digest = digest;
-      end_lease_locked(j, JobState::completed, "", par::wall_seconds());
+      end_lease_locked(j, lease_comm, JobState::completed, "", par::wall_seconds());
     }
   } catch (const par::RankFailure& e) {
     exhausted(e.what());
@@ -318,11 +309,7 @@ JobReport Scheduler::report_locked(const Job& j) const {
   r.preemptions = j.preemptions;
   r.exhaustions = j.exhaustions;
   r.recovery = j.recovery;
-  {
-    std::lock_guard<std::mutex> lk(j.comm_mu);
-    r.comm = j.comm;
-  }
-  r.arq = j.arq.snapshot();
+  r.comm = j.comm;
   r.wait_s = j.wait_s;
   r.run_s = j.run_s;
   r.lease_slots = j.lease_slots;

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <numeric>
 #include <string>
+#include <vector>
 
 namespace par = esamr::par;
 
@@ -147,13 +148,14 @@ struct ArqTally {
 
 // Seeded in-flight corruption with ARQ on: every corrupt delivery is repaired
 // from the sender's retained payload (the healed bytes match the original
-// exactly), nothing escalates, and the process-wide counters agree with the
-// per-rank ones.
+// exactly), nothing escalates, and the run's folded totals agree with the
+// per-rank counters.
 TEST(Arq, HealsInFlightCorruptionAtTheLinkLayer) {
   par::RunOptions opts;
   opts.inject.seed = 99;
   opts.inject.corrupt_msg_stride = 8;
-  par::arq_stats_reset();
+  par::CommStats totals;
+  opts.totals = &totals;
   std::atomic<long long> healed{0}, escalated{0}, retransmits{0}, detected{0};
   par::run(4, opts, [&](par::Comm& c) {
     const int next = (c.rank() + 1) % c.size();
@@ -173,14 +175,13 @@ TEST(Arq, HealsInFlightCorruptionAtTheLinkLayer) {
   EXPECT_EQ(escalated.load(), 0);
   EXPECT_GE(retransmits.load(), healed.load());
   EXPECT_GE(detected.load(), healed.load());
-  const auto a = par::arq_stats();
-  EXPECT_EQ(a.healed, healed.load());
-  EXPECT_EQ(a.escalated, 0);
-  EXPECT_EQ(a.retransmits, retransmits.load());
-  EXPECT_GT(a.retained, 0);
+  EXPECT_EQ(totals.arq_healed, healed.load());
+  EXPECT_EQ(totals.arq_escalations, 0);
+  EXPECT_EQ(totals.retransmits, retransmits.load());
+  EXPECT_GT(totals.arq_retained, 0);
   // Every delivered message was verified, so every retained payload was acked.
-  EXPECT_EQ(a.acked, a.retained);
-  EXPECT_GT(a.heal_s, 0.0);
+  EXPECT_EQ(totals.arq_acked, totals.arq_retained);
+  EXPECT_GT(totals.arq_heal_s, 0.0);
 }
 
 // ARQ heals are deterministic: the same seed replays the same retransmission
@@ -253,22 +254,61 @@ TEST(Arq, DisabledEscalatesOnFirstFailure) {
 }
 
 // A zero-retransmit budget behaves like ARQ off (escalate at once), but still
-// counts the escalation on the ARQ ledger.
+// counts the escalation — and par::run folds the run's totals before it
+// rethrows.
 TEST(Arq, ZeroBudgetEscalatesAndCounts) {
   par::RunOptions opts;
   opts.inject.seed = 99;
   opts.inject.corrupt_msg_stride = 1;
   opts.arq.max_retransmits = 0;
-  par::arq_stats_reset();
+  par::CommStats totals;
+  opts.totals = &totals;
   EXPECT_THROW(par::run(2, opts,
                         [](par::Comm& c) {
                           c.send_value(1 - c.rank(), 1, c.rank());
                           (void)c.recv(1 - c.rank(), 1);
                         }),
                par::CorruptMessage);
-  const auto a = par::arq_stats();
-  EXPECT_GE(a.escalated, 1);
-  EXPECT_EQ(a.retransmits, 0);
+  EXPECT_GE(totals.arq_escalations, 1);
+  EXPECT_EQ(totals.retransmits, 0);
+}
+
+// RunOptions::totals is exactly the sum of every rank's counters as the
+// ranks left fn, on a clean run.
+TEST(Par, TotalsFoldEveryRanksCounters) {
+  constexpr int p = 4;
+  par::RunOptions opts;
+  par::CommStats totals;
+  opts.totals = &totals;
+  std::vector<par::CommStats> per_rank(p);
+  par::run(p, opts, [&](par::Comm& c) {
+    const int next = (c.rank() + 1) % p;
+    const int prev = (c.rank() + p - 1) % p;
+    c.send_value(next, 3, c.rank());
+    EXPECT_EQ(c.recv(prev, 3).value<int>(), prev);
+    (void)c.allreduce(c.rank(), par::ReduceOp::sum);
+    (void)c.allgatherv(std::vector<int>(static_cast<std::size_t>(c.rank()), 7));
+    c.barrier();
+    per_rank[static_cast<std::size_t>(c.rank())] = c.stats();
+  });
+  par::CommStats sum;
+  for (const auto& st : per_rank) sum += st;
+  EXPECT_EQ(totals.p2p_sends, sum.p2p_sends);
+  EXPECT_EQ(totals.p2p_send_bytes, sum.p2p_send_bytes);
+  EXPECT_EQ(totals.p2p_recvs, sum.p2p_recvs);
+  EXPECT_EQ(totals.p2p_recv_bytes, sum.p2p_recv_bytes);
+  EXPECT_EQ(totals.coll_msgs, sum.coll_msgs);
+  EXPECT_EQ(totals.coll_bytes, sum.coll_bytes);
+  EXPECT_EQ(totals.coll_calls, sum.coll_calls);
+  EXPECT_EQ(totals.coll_payload_bytes, sum.coll_payload_bytes);
+  EXPECT_EQ(totals.bytes_verified, sum.bytes_verified);
+  EXPECT_EQ(totals.arq_retained, sum.arq_retained);
+  EXPECT_EQ(totals.arq_acked, sum.arq_acked);
+  EXPECT_EQ(totals.arq_retained, totals.arq_acked);
+  EXPECT_GT(totals.arq_retained, 0);
+  EXPECT_EQ(totals.recv_blocked_s, sum.recv_blocked_s);
+  EXPECT_EQ(totals.barrier_blocked_s, sum.barrier_blocked_s);
+  EXPECT_EQ(totals.p2p_sends, p);
 }
 
 // --- Heartbeat failure detection --------------------------------------------

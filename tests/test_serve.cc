@@ -255,17 +255,21 @@ TEST(Isolation, TenantFaultsBurnOnlyTheirOwnBudget) {
   EXPECT_EQ(rc.state, serve::JobState::completed) << rc.note;
   EXPECT_EQ(rc.digest, corrupt_solo);
   EXPECT_GE(rc.recovery.corrupt_msgs, 1);
+  // The failed attempt's counters reached the job through the fault path.
+  EXPECT_GE(rc.comm.corrupt_detected, rc.recovery.corrupt_msgs);
 
   // The bystander saw nothing: no faults, no replay, one attempt, and its
-  // *own* ARQ scope never counted a heal (zero cross-job leakage).
+  // *own* comm totals never counted a heal (zero cross-job leakage).
   const auto rb = sched.report(vb.job_id);
   EXPECT_EQ(rb.state, serve::JobState::completed) << rb.note;
   EXPECT_EQ(rb.digest, clean_solo);
   EXPECT_EQ(rb.recovery.failures, 0);
   EXPECT_EQ(rb.recovery.attempts, 1);
   EXPECT_EQ(rb.recovery.steps_replayed, 0u);
-  EXPECT_EQ(rb.arq.healed, 0);
-  EXPECT_EQ(rb.arq.retransmits, 0);
+  EXPECT_EQ(rb.comm.arq_healed, 0);
+  EXPECT_EQ(rb.comm.retransmits, 0);
+  EXPECT_GT(rb.comm.arq_retained, 0);
+  EXPECT_EQ(rb.comm.arq_acked, rb.comm.arq_retained);
 }
 
 TEST(Isolation, DeadlineOverrunQuarantinesOnlyTheTenant) {
@@ -480,7 +484,7 @@ TEST(Concurrency, ParallelSupervisorsMatchTheirSoloRuns) {
     std::uint64_t solo = 0;
     std::uint64_t digest = 0;
     resil::RecoveryStats stats;
-    par::ArqScope arq;
+    par::CommStats totals;
   };
   std::vector<Slot> slots(kJobs);
   for (int i = 0; i < kJobs; ++i) {
@@ -499,7 +503,6 @@ TEST(Concurrency, ParallelSupervisorsMatchTheirSoloRuns) {
     }
   }
 
-  const auto arq_before = par::arq_stats();
   std::vector<std::thread> threads;
   threads.reserve(kJobs);
   for (int i = 0; i < kJobs; ++i) {
@@ -507,7 +510,7 @@ TEST(Concurrency, ParallelSupervisorsMatchTheirSoloRuns) {
       auto& s = slots[static_cast<std::size_t>(i)];
       par::RunOptions opts;
       opts.inject = s.spec.inject;
-      opts.arq_scope = &s.arq;
+      opts.totals = &s.totals;
       resil::SupervisorOptions sopt;
       sopt.backoff_initial_s = 0.0;
       sopt.backoff_salt = static_cast<std::uint64_t>(i) + 1;
@@ -527,14 +530,12 @@ TEST(Concurrency, ParallelSupervisorsMatchTheirSoloRuns) {
   // The kill tenant's faults never leaked into a clean tenant's stats.
   EXPECT_EQ(slots[2].stats.failures, 0);
   EXPECT_EQ(slots[3].stats.failures, 0);
-  // ARQ heals landed in the corrupt tenant's scope and nowhere else, while
-  // the process-wide counters kept the cross-world sum (monotonic).
-  EXPECT_GT(slots[1].arq.healed.load(), 0);
-  EXPECT_GT(slots[1].stats.healed_link, 0);
-  EXPECT_EQ(slots[2].arq.healed.load(), 0);
-  EXPECT_EQ(slots[3].arq.healed.load(), 0);
-  const auto arq_after = par::arq_stats();
-  EXPECT_GE(arq_after.healed - arq_before.healed, slots[1].arq.healed.load());
+  // ARQ heals landed in the corrupt tenant's totals and nowhere else, and
+  // the supervisor's link-rung count is read from those same totals.
+  EXPECT_GT(slots[1].totals.arq_healed, 0);
+  EXPECT_EQ(slots[1].stats.healed_link, slots[1].totals.arq_healed);
+  EXPECT_EQ(slots[2].totals.arq_healed, 0);
+  EXPECT_EQ(slots[3].totals.arq_healed, 0);
 }
 
 // --- Supervisor satellites ----------------------------------------------

@@ -209,14 +209,13 @@ const std::set<std::string>& collective_names() {
       "reduce",         "reduce_bytes",    "allreduce",        "allreduce_bytes",
       "allgather",      "allgather_bytes", "allgatherv",       "allgatherv_bytes",
       "alltoallv",      "alltoall_bytes",  "exscan_sum",       "exscan_bytes",
-      "iallreduce",     "iallreduce_bytes", "iallgatherv",     "iallgatherv_bytes",
       "stats_snapshot"};
   return k;
 }
 
 /// Comm entry points that must thread a std::source_location so the dynamic
 /// checker can name the user call site in race/deadlock/mismatch reports.
-/// Buffered never-blocking entries (send*, iprobe) are exempt by design.
+/// Buffered never-blocking entries (send*) are exempt by design.
 const std::set<std::string>& entry_names() {
   static std::set<std::string> k = [] {
     std::set<std::string> e = collective_names();
@@ -224,7 +223,6 @@ const std::set<std::string>& entry_names() {
     e.insert("recv");
     e.insert("irecv");
     e.insert("isend");
-    e.insert("isend_bytes");
     return e;
   }();
   return k;
@@ -236,7 +234,7 @@ const std::set<std::string>& entry_names() {
 const std::set<std::string>& sink_names() {
   static std::set<std::string> k = [] {
     std::set<std::string> s = collective_names();
-    for (const char* n : {"send", "send_bytes", "send_value", "isend", "isend_bytes",
+    for (const char* n : {"send", "send_bytes", "send_value", "isend",
                           "recv", "irecv", "crc32c", "crc32c_update",
                           "write_checkpoint", "write_checkpoint_ring",
                           "write_delta_checkpoint_ring", "CheckedFile",

@@ -400,9 +400,12 @@ TEST(Heartbeat, QuietOnAHealthyWorld) {
 
 // Ranks that finish early are marked done and must not be declared dead: a
 // rank blocked past the heartbeat window while every peer has returned gets
-// the plain recv timeout, not a (false) RankFailure verdict.
+// the plain recv timeout, not a (false) RankFailure verdict. The checker is
+// pinned off: this is about the heartbeat/timeout path, and the checker
+// would (rightly) report the orphaned receive as a deadlock first.
 TEST(Heartbeat, FinishedRanksAreNotDeclaredDead) {
   par::RunOptions opts;
+  opts.check = 0;
   opts.heartbeat_timeout_s = 0.2;
   opts.recv_timeout_s = 0.6;
   try {
@@ -413,6 +416,26 @@ TEST(Heartbeat, FinishedRanksAreNotDeclaredDead) {
     FAIL() << "expected TimeoutError";
   } catch (const par::TimeoutError&) {
     // Correct: the finished peers were never declared dead.
+  } catch (const par::RankFailure& e) {
+    FAIL() << "finished rank declared dead: " << e.what();
+  }
+}
+
+// The same orphaned receive with the checker armed: the deadlock detector
+// names it as a CheckError, and the finished peers are still never declared
+// dead.
+TEST(Heartbeat, FinishedRanksAreNotDeclaredDeadUnderTheChecker) {
+  par::RunOptions opts;
+  opts.check = 1;
+  opts.heartbeat_timeout_s = 0.2;
+  opts.recv_timeout_s = 0.6;
+  try {
+    par::run(3, opts, [](par::Comm& c) {
+      if (c.rank() == 0) (void)c.recv(par::any_source, 77);
+    });
+    FAIL() << "expected CheckError";
+  } catch (const par::check::CheckError& e) {
+    EXPECT_EQ(e.kind(), par::check::Violation::deadlock) << e.what();
   } catch (const par::RankFailure& e) {
     FAIL() << "finished rank declared dead: " << e.what();
   }

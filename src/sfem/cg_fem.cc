@@ -56,44 +56,25 @@ std::vector<QPoint<Dim>> element_qpoints(
     QPoint<Dim> qp{};
     double dn[nc * Dim];
     q1_shape<Dim>(xi, qp.n, dn);
-    double jm[Dim][Dim] = {};
+    double jm[Dim * Dim] = {};  // jm[d * Dim + a] = dx_d / dxi_a
     for (int c = 0; c < nc; ++c) {
       for (int d = 0; d < 3; ++d) {
         qp.x[static_cast<std::size_t>(d)] += qp.n[c] * xc[static_cast<std::size_t>(c)][static_cast<std::size_t>(d)];
       }
       for (int d = 0; d < Dim; ++d) {
         for (int a = 0; a < Dim; ++a) {
-          jm[d][a] += dn[c * Dim + a] * xc[static_cast<std::size_t>(c)][static_cast<std::size_t>(d)];
+          jm[d * Dim + a] += dn[c * Dim + a] * xc[static_cast<std::size_t>(c)][static_cast<std::size_t>(d)];
         }
       }
     }
-    double det, inv[Dim][Dim];
-    if constexpr (Dim == 2) {
-      det = jm[0][0] * jm[1][1] - jm[0][1] * jm[1][0];
-      inv[0][0] = jm[1][1] / det;
-      inv[0][1] = -jm[0][1] / det;
-      inv[1][0] = -jm[1][0] / det;
-      inv[1][1] = jm[0][0] / det;
-    } else {
-      det = jm[0][0] * (jm[1][1] * jm[2][2] - jm[1][2] * jm[2][1]) -
-            jm[0][1] * (jm[1][0] * jm[2][2] - jm[1][2] * jm[2][0]) +
-            jm[0][2] * (jm[1][0] * jm[2][1] - jm[1][1] * jm[2][0]);
-      inv[0][0] = (jm[1][1] * jm[2][2] - jm[1][2] * jm[2][1]) / det;
-      inv[0][1] = (jm[0][2] * jm[2][1] - jm[0][1] * jm[2][2]) / det;
-      inv[0][2] = (jm[0][1] * jm[1][2] - jm[0][2] * jm[1][1]) / det;
-      inv[1][0] = (jm[1][2] * jm[2][0] - jm[1][0] * jm[2][2]) / det;
-      inv[1][1] = (jm[0][0] * jm[2][2] - jm[0][2] * jm[2][0]) / det;
-      inv[1][2] = (jm[0][2] * jm[1][0] - jm[0][0] * jm[1][2]) / det;
-      inv[2][0] = (jm[1][0] * jm[2][1] - jm[1][1] * jm[2][0]) / det;
-      inv[2][1] = (jm[0][1] * jm[2][0] - jm[0][0] * jm[2][1]) / det;
-      inv[2][2] = (jm[0][0] * jm[1][1] - jm[0][1] * jm[1][0]) / det;
-    }
+    double inv[Dim * Dim];
+    const double det = invert_jacobian<Dim>(jm, inv);
     // Weight: Gauss weights on [0,1] are 1/2 per axis.
     qp.detw = det / (1 << Dim);
     for (int c = 0; c < nc; ++c) {
       for (int d = 0; d < Dim; ++d) {
         double gsum = 0.0;
-        for (int a = 0; a < Dim; ++a) gsum += inv[a][d] * dn[c * Dim + a];
+        for (int a = 0; a < Dim; ++a) gsum += inv[a * Dim + d] * dn[c * Dim + a];
         qp.grad[c][d] = gsum;
       }
     }

@@ -1,45 +1,18 @@
 #include "sfem/dg_advection.h"
 
 #include <cmath>
-#include <cstring>
 #include <map>
 
 namespace esamr::sfem {
 
-namespace {
-
-// Carpenter & Kennedy (1994) five-stage fourth-order 2N-storage RK.
-constexpr double kRkA[5] = {0.0, -567301805773.0 / 1357537059087.0,
-                            -2404267990393.0 / 2016746695238.0,
-                            -3550918686646.0 / 2091501179385.0,
-                            -1275806237668.0 / 842570457699.0};
-constexpr double kRkB[5] = {1432997174477.0 / 9575080441755.0, 5161836677717.0 / 13612068292357.0,
-                            1720146321549.0 / 2090206949498.0, 3134564353537.0 / 4481467310338.0,
-                            2277821191437.0 / 14882151754819.0};
-
-}  // namespace
-
 template <int Dim>
 Advection<Dim>::Advection(const DgMesh<Dim>* mesh, Velocity velocity)
     : mesh_(mesh), velocity_(std::move(velocity)) {
-  const int np = mesh_->np, nv = mesh_->nv, npf = mesh_->npf;
+  const int nv = mesh_->nv, npf = mesh_->npf;
   const auto n = static_cast<std::size_t>(mesh_->n_local);
   fcoef_.resize(n * static_cast<std::size_t>(nv) * Dim);
   un_.resize(n * DgMesh<Dim>::nfaces * static_cast<std::size_t>(npf));
   max_speed_.assign(n, 0.0);
-  for (int c = 0; c < 2; ++c) {
-    interp_t_[c].assign(static_cast<std::size_t>(np) * np, 0.0);
-    for (int i = 0; i < np; ++i) {
-      for (int j = 0; j < np; ++j) {
-        interp_t_[c][static_cast<std::size_t>(i * np + j)] =
-            mesh_->basis.interp_half[c][static_cast<std::size_t>(j * np + i)];
-      }
-    }
-  }
-  face_idx_.resize(DgMesh<Dim>::nfaces);
-  for (int f = 0; f < DgMesh<Dim>::nfaces; ++f) {
-    face_idx_[static_cast<std::size_t>(f)] = face_node_indices(Dim, np, f);
-  }
 
   // Contravariant flux coefficients and face normal velocities.
   for (std::size_t e = 0; e < n; ++e) {
@@ -62,7 +35,7 @@ Advection<Dim>::Advection(const DgMesh<Dim>* mesh, Velocity velocity)
       }
     }
     for (int f = 0; f < DgMesh<Dim>::nfaces; ++f) {
-      const auto& fni = face_idx_[static_cast<std::size_t>(f)];
+      const auto& fni = mesh_->face_nodes[static_cast<std::size_t>(f)];
       for (int q = 0; q < npf; ++q) {
         const std::size_t nb =
             e * static_cast<std::size_t>(nv) + static_cast<std::size_t>(fni[static_cast<std::size_t>(q)]);
@@ -87,21 +60,13 @@ void Advection<Dim>::rhs(std::span<const double> c, std::span<double> out) const
   const int np = mesh_->np, nv = mesh_->nv, npf = mesh_->npf;
   const auto n = static_cast<std::size_t>(mesh_->n_local);
   const Basis1d& b = mesh_->basis;
+  const std::vector<double>& wf = mesh_->face_weights;
   const auto ghost_c = mesh_->exchange(c, nv);
 
   std::vector<double> flux(static_cast<std::size_t>(nv)), dflux(static_cast<std::size_t>(nv));
   // Face-local scratch.
-  std::vector<double> cm(static_cast<std::size_t>(npf)), cp(static_cast<std::size_t>(npf));
-  std::vector<double> t0(static_cast<std::size_t>(npf)), t1(static_cast<std::size_t>(npf));
-  std::vector<double> lift(static_cast<std::size_t>(npf));
-
-  // Tensor quadrature weight over the face tangentials.
-  std::vector<double> wf(static_cast<std::size_t>(npf));
-  for (int q = 0; q < npf; ++q) {
-    double w = b.weights[static_cast<std::size_t>(q % np)];
-    if (Dim == 3) w *= b.weights[static_cast<std::size_t>(q / np)];
-    wf[static_cast<std::size_t>(q)] = w;
-  }
+  const auto nf = static_cast<std::size_t>(npf);
+  std::vector<double> cm(nf), cp(nf), tmp(nf), lift(nf), csub(nf), unsub(nf), sjsub(nf);
 
   for (std::size_t e = 0; e < n; ++e) {
     const double* ce = c.data() + e * static_cast<std::size_t>(nv);
@@ -126,7 +91,7 @@ void Advection<Dim>::rhs(std::span<const double> c, std::span<double> out) const
     for (int f = 0; f < DgMesh<Dim>::nfaces; ++f) {
       const auto& side = mesh_->face(e, f);
       if (side.kind == DgMesh<Dim>::FaceKind::boundary) continue;
-      const auto& fni = face_idx_[static_cast<std::size_t>(f)];
+      const auto& fni = mesh_->face_nodes[static_cast<std::size_t>(f)];
       for (int q = 0; q < npf; ++q) {
         cm[static_cast<std::size_t>(q)] = ce[fni[static_cast<std::size_t>(q)]];
       }
@@ -138,7 +103,7 @@ void Advection<Dim>::rhs(std::span<const double> c, std::span<double> out) const
             side.nbr_ghost[static_cast<std::size_t>(slot)]
                 ? ghost_c.data() + static_cast<std::size_t>(side.nbr[static_cast<std::size_t>(slot)]) * nv
                 : c.data() + static_cast<std::size_t>(side.nbr[static_cast<std::size_t>(slot)]) * nv;
-        const auto& nfni = face_idx_[static_cast<std::size_t>(side.nbr_face)];
+        const auto& nfni = mesh_->face_nodes[static_cast<std::size_t>(side.nbr_face)];
         for (int q = 0; q < npf; ++q) {
           dst[static_cast<std::size_t>(q)] =
               src[nfni[static_cast<std::size_t>(side.node_map[static_cast<std::size_t>(q)])]];
@@ -150,13 +115,7 @@ void Advection<Dim>::rhs(std::span<const double> c, std::span<double> out) const
         nbr_values(0, cp);
         if (side.kind == DgMesh<Dim>::FaceKind::coarse) {
           // Interpolate the (orientation-aligned) coarse face to my quadrant.
-          std::memcpy(t0.data(), cp.data(), sizeof(double) * static_cast<std::size_t>(npf));
-          for (int k = 0; k < Dim - 1; ++k) {
-            apply_face_axis(Dim, np, k, b.interp_half[(side.half_bits >> k) & 1].data(), t0.data(),
-                            t1.data());
-            std::swap(t0, t1);
-          }
-          std::memcpy(cp.data(), t0.data(), sizeof(double) * static_cast<std::size_t>(npf));
+          apply_half(Dim - 1, np, b.interp_half, side.half_bits, cp.data(), tmp.data());
         }
         for (int q = 0; q < npf; ++q) {
           const double un = un_[fb0 + static_cast<std::size_t>(q)];
@@ -173,19 +132,13 @@ void Advection<Dim>::rhs(std::span<const double> c, std::span<double> out) const
         const double scale = Dim == 3 ? 0.25 : 0.5;  // d(coarse ref)/d(fine ref) per axis
         for (int s = 0; s < DgMesh<Dim>::nsub; ++s) {
           // My values, u.n and sJ interpolated to the subface points.
-          std::vector<double> csub(static_cast<std::size_t>(npf)),
-              unsub(static_cast<std::size_t>(npf)), sjsub(static_cast<std::size_t>(npf));
-          const auto interp_sub = [&](const double* src, double* dst) {
-            std::memcpy(t0.data(), src, sizeof(double) * static_cast<std::size_t>(npf));
-            for (int k = 0; k < Dim - 1; ++k) {
-              apply_face_axis(Dim, np, k, b.interp_half[(s >> k) & 1].data(), t0.data(), t1.data());
-              std::swap(t0, t1);
-            }
-            std::memcpy(dst, t0.data(), sizeof(double) * static_cast<std::size_t>(npf));
+          const auto interp_sub = [&](const double* src, std::vector<double>& dst) {
+            std::copy_n(src, npf, dst.data());
+            apply_half(Dim - 1, np, b.interp_half, s, dst.data(), tmp.data());
           };
-          interp_sub(cm.data(), csub.data());
-          interp_sub(un_.data() + fb0, unsub.data());
-          interp_sub(mesh_->fsj.data() + fb0, sjsub.data());
+          interp_sub(cm.data(), csub);
+          interp_sub(un_.data() + fb0, unsub);
+          interp_sub(mesh_->fsj.data() + fb0, sjsub);
           nbr_values(s, cp);
           for (int q = 0; q < npf; ++q) {
             const double un = unsub[static_cast<std::size_t>(q)];
@@ -195,15 +148,11 @@ void Advection<Dim>::rhs(std::span<const double> c, std::span<double> out) const
                 (un * a - fstar) * sjsub[static_cast<std::size_t>(q)] * wf[static_cast<std::size_t>(q)] * scale;
           }
           // Lift through the transposed interpolation onto my face nodes.
-          std::memcpy(t0.data(), lift.data(), sizeof(double) * static_cast<std::size_t>(npf));
-          for (int k = 0; k < Dim - 1; ++k) {
-            apply_face_axis(Dim, np, k, interp_t_[(s >> k) & 1].data(), t0.data(), t1.data());
-            std::swap(t0, t1);
-          }
+          apply_half(Dim - 1, np, b.interp_half_t, s, lift.data(), tmp.data());
           for (int q = 0; q < npf; ++q) {
             const int node = fni[static_cast<std::size_t>(q)];
             const std::size_t nb = e * static_cast<std::size_t>(nv) + static_cast<std::size_t>(node);
-            oe[node] += t0[static_cast<std::size_t>(q)] / mesh_->mass[nb];
+            oe[node] += lift[static_cast<std::size_t>(q)] / mesh_->mass[nb];
           }
         }
       }
@@ -213,14 +162,7 @@ void Advection<Dim>::rhs(std::span<const double> c, std::span<double> out) const
 
 template <int Dim>
 void Advection<Dim>::step(std::vector<double>& c, double dt) const {
-  std::vector<double> res(c.size(), 0.0), k(c.size());
-  for (int stage = 0; stage < 5; ++stage) {
-    rhs(c, k);
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      res[i] = kRkA[stage] * res[i] + dt * k[i];
-      c[i] += kRkB[stage] * res[i];
-    }
-  }
+  lsrk54_step(c, dt, [this](std::span<const double> q, std::span<double> k) { rhs(q, k); });
 }
 
 template <int Dim>

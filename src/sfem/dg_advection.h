@@ -53,8 +53,6 @@ class Advection {
   std::vector<double> fcoef_;     ///< n_local*nv*Dim: detJ * (dref_a/dx) . u
   std::vector<double> un_;        ///< n_local*nfaces*npf: u . n at my face nodes
   std::vector<double> max_speed_; ///< per element |u| bound
-  std::vector<double> interp_t_[2];  ///< transposed half-interval interpolation
-  std::vector<std::vector<int>> face_idx_;  ///< face -> volume node indices
 };
 
 /// Dynamically adaptive advection run (paper §III-B): owns the forest, mesh,

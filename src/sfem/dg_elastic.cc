@@ -1,19 +1,10 @@
 #include "sfem/dg_elastic.h"
 
 #include <cmath>
-#include <cstring>
 
 namespace esamr::sfem {
 
 namespace {
-
-// Carpenter & Kennedy (1994) five-stage fourth-order 2N-storage RK.
-constexpr double kA[5] = {0.0, -567301805773.0 / 1357537059087.0,
-                          -2404267990393.0 / 2016746695238.0, -3550918686646.0 / 2091501179385.0,
-                          -1275806237668.0 / 842570457699.0};
-constexpr double kB[5] = {1432997174477.0 / 9575080441755.0, 5161836677717.0 / 13612068292357.0,
-                          1720146321549.0 / 2090206949498.0, 3134564353537.0 / 4481467310338.0,
-                          2277821191437.0 / 14882151754819.0};
 
 /// Voigt index of the symmetric pair (i, j).
 template <int Dim>
@@ -28,26 +19,6 @@ constexpr int voigt(int i, int j) {
   }
 }
 
-/// Apply a 1D operator along every axis listed (tensor sweep over a face
-/// array), used for the mortar interpolations.
-template <typename Real>
-void face_sweep(int dim, int np, const std::vector<Real>* ops, int bits, Real* data, Real* tmp) {
-  for (int k = 0; k < dim - 1; ++k) {
-    const Real* a = ops[(bits >> k) & 1].data();
-    const int stride = ipow(np, k);
-    const int total = ipow(np, dim - 1);
-    for (int base = 0; base < total; ++base) {
-      if ((base / stride) % np != 0) continue;
-      for (int r = 0; r < np; ++r) {
-        Real acc = 0;
-        for (int c = 0; c < np; ++c) acc += a[r * np + c] * data[base + c * stride];
-        tmp[base + r * stride] = acc;
-      }
-    }
-    std::memcpy(data, tmp, sizeof(Real) * static_cast<std::size_t>(total));
-  }
-}
-
 }  // namespace
 
 template <int Dim, typename Real>
@@ -56,7 +27,7 @@ ElasticWave<Dim, Real>::ElasticWave(
     Boundary boundary)
     : mesh_(mesh), boundary_(boundary) {
   const double t0 = par::thread_cpu_seconds();
-  const int np = mesh_->np, nv = mesh_->nv;
+  const int nv = mesh_->nv;
   const auto n = static_cast<std::size_t>(mesh_->n_local);
 
   // Precision-converted geometry tables (the "device transfer" of Fig. 10).
@@ -72,18 +43,9 @@ ElasticWave<Dim, Real>::ElasticWave(
   convert(mesh_->basis.diff, diff_);
   for (int c = 0; c < 2; ++c) {
     convert(mesh_->basis.interp_half[c], interp_half_[c]);
-    interp_half_t_[c].assign(static_cast<std::size_t>(np) * np, Real(0));
-    for (int i = 0; i < np; ++i) {
-      for (int j = 0; j < np; ++j) {
-        interp_half_t_[c][static_cast<std::size_t>(i * np + j)] =
-            static_cast<Real>(mesh_->basis.interp_half[c][static_cast<std::size_t>(j * np + i)]);
-      }
-    }
+    convert(mesh_->basis.interp_half_t[c], interp_half_t_[c]);
   }
-  face_idx_.resize(DgMesh<Dim>::nfaces);
-  for (int f = 0; f < DgMesh<Dim>::nfaces; ++f) {
-    face_idx_[static_cast<std::size_t>(f)] = face_node_indices(Dim, np, f);
-  }
+  convert(mesh_->face_weights, wf_);
 
   // Material sampling at the element nodes (double), then exchange the halo
   // and convert. Ghost tables are appended behind the local ones.
@@ -123,20 +85,7 @@ template <int Dim, typename Real>
 void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) const {
   const int np = mesh_->np, nv = mesh_->nv, npf = mesh_->npf;
   const auto n = static_cast<std::size_t>(mesh_->n_local);
-  const auto ghost_q = mesh_->ghost->template exchange<Real>(
-      mesh_->forest->comm(),
-      [&] {
-        std::vector<Real> mirror(mesh_->ghost->mirrors.size() *
-                                 static_cast<std::size_t>(ncomp * nv));
-        for (std::size_t m = 0; m < mesh_->ghost->mirrors.size(); ++m) {
-          std::copy_n(q.data() + static_cast<std::size_t>(mesh_->ghost->mirrors[m].local_index) *
-                                     ncomp * nv,
-                      static_cast<std::size_t>(ncomp) * nv,
-                      mirror.data() + m * static_cast<std::size_t>(ncomp) * nv);
-        }
-        return mirror;
-      }(),
-      ncomp * nv);
+  const auto ghost_q = mesh_->template exchange<Real>(q, ncomp * nv);
 
   // Node-wise material of a (local or ghost) element.
   const auto mat_base = [&](std::int32_t elem, bool is_ghost) {
@@ -158,17 +107,21 @@ void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) c
     for (int i = 0; i < Dim; ++i) sig[voigt<Dim>(i, i)] += lam * tr;
   };
 
-  std::vector<Real> field(static_cast<std::size_t>(nv)), dref(static_cast<std::size_t>(nv));
+  // Per-call scratch: volume sweeps, then my (m) and the neighbor's (p) face
+  // traces. The *0 twins keep my conforming trace while a fine face
+  // interpolates copies of it to each subface.
+  const auto nf = static_cast<std::size_t>(npf);
+  std::vector<Real> dref(static_cast<std::size_t>(nv));
   std::vector<Real> sigma(static_cast<std::size_t>(nstrain) * nv);
   std::vector<Real> grads(static_cast<std::size_t>(Dim + nstrain) * Dim * nv);
-
-  // Tensor face weights.
-  std::vector<Real> wf(static_cast<std::size_t>(npf));
-  for (int qq = 0; qq < npf; ++qq) {
-    double w = mesh_->basis.weights[static_cast<std::size_t>(qq % np)];
-    if (Dim == 3) w *= mesh_->basis.weights[static_cast<std::size_t>(qq / np)];
-    wf[static_cast<std::size_t>(qq)] = static_cast<Real>(w);
-  }
+  std::vector<Real> vm(Dim * nf), tm(Dim * nf), vp(Dim * nf), tp(Dim * nf);
+  std::vector<Real> zpm(nf), zsm(nf), zpp(nf), zsp(nf), nrm(3 * nf), sj(nf);
+  std::vector<Real> vm0(Dim * nf), tm0(Dim * nf), zpm0(nf), zsm0(nf), nrm0(3 * nf), sj0(nf);
+  std::vector<Real> nxyz(3 * nf), tmp(nf), liftv(ncomp * nf), acc(ncomp * nf);
+  // Half-interval interpolation (or its transpose) of one face array.
+  const auto half = [&](const std::vector<Real>* ops, int bits, Real* v) {
+    apply_half(Dim - 1, np, ops, bits, v, tmp.data());
+  };
 
   for (std::size_t e = 0; e < n; ++e) {
     const Real* qe = q.data() + e * static_cast<std::size_t>(ncomp) * nv;
@@ -190,19 +143,7 @@ void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) c
       Real* g = grads.data() + static_cast<std::size_t>(fidx) * Dim * nv;
       std::fill(g, g + static_cast<std::size_t>(Dim) * nv, Real(0));
       for (int a = 0; a < Dim; ++a) {
-        // dref = D_a src
-        const int stride = ipow(np, a);
-        const int total = nv;
-        for (int base = 0; base < total; ++base) {
-          if ((base / stride) % np != 0) continue;
-          for (int r = 0; r < np; ++r) {
-            Real acc = 0;
-            for (int cc = 0; cc < np; ++cc) {
-              acc += diff_[static_cast<std::size_t>(r * np + cc)] * src[base + cc * stride];
-            }
-            dref[static_cast<std::size_t>(base + r * stride)] = acc;
-          }
-        }
+        apply_axis(Dim, np, a, diff_.data(), src, dref.data());
         for (int node = 0; node < nv; ++node) {
           for (int d = 0; d < Dim; ++d) {
             g[d * nv + node] += jinv_[((jb + static_cast<std::size_t>(node)) * Dim +
@@ -240,17 +181,9 @@ void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) c
     }
 
     // Face terms.
-    std::vector<Real> vm(static_cast<std::size_t>(Dim) * npf), tm(static_cast<std::size_t>(Dim) * npf);
-    std::vector<Real> vp(static_cast<std::size_t>(Dim) * npf), tp(static_cast<std::size_t>(Dim) * npf);
-    std::vector<Real> zpm(static_cast<std::size_t>(npf)), zsm(static_cast<std::size_t>(npf));
-    std::vector<Real> zpp(static_cast<std::size_t>(npf)), zsp(static_cast<std::size_t>(npf));
-    std::vector<Real> nrm(static_cast<std::size_t>(3) * npf), sj(static_cast<std::size_t>(npf));
-    std::vector<Real> tmp(static_cast<std::size_t>(npf)), tmp2(static_cast<std::size_t>(npf));
-    std::vector<Real> liftv(static_cast<std::size_t>(ncomp) * npf);
-
     for (int f = 0; f < DgMesh<Dim>::nfaces; ++f) {
       const auto& side = mesh_->face(static_cast<std::int64_t>(e), f);
-      const auto& fni = face_idx_[static_cast<std::size_t>(f)];
+      const auto& fni = mesh_->face_nodes[static_cast<std::size_t>(f)];
       const std::size_t fb0 =
           (e * DgMesh<Dim>::nfaces + static_cast<std::size_t>(f)) * static_cast<std::size_t>(npf);
 
@@ -283,7 +216,7 @@ void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) c
                                 side.nbr_ghost[static_cast<std::size_t>(slot)] != 0);
         const std::size_t mb = mat_base(side.nbr[static_cast<std::size_t>(slot)],
                                         side.nbr_ghost[static_cast<std::size_t>(slot)] != 0);
-        const auto& nfni = face_idx_[static_cast<std::size_t>(side.nbr_face)];
+        const auto& nfni = mesh_->face_nodes[static_cast<std::size_t>(side.nbr_face)];
         for (int qq = 0; qq < npf; ++qq) {
           const int nn = nfni[static_cast<std::size_t>(side.node_map[static_cast<std::size_t>(qq)])];
           Real sig[nstrain];
@@ -349,7 +282,7 @@ void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) c
               tst[i] = 0;
             }
           }
-          const Real wsj = wf[static_cast<std::size_t>(qq)] * sj[static_cast<std::size_t>(qq)] * scale;
+          const Real wsj = wf_[static_cast<std::size_t>(qq)] * sj[static_cast<std::size_t>(qq)] * scale;
           for (int i = 0; i < Dim; ++i) {
             const Real vstar = vst[i] + vsn * nq[i];
             const Real tstar = tst[i] + tsn * nq[i];
@@ -390,70 +323,62 @@ void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) c
         // orientation alignment; my own data stays at my face nodes.
         fetch_plus(0);
         for (int i = 0; i < Dim; ++i) {
-          face_sweep<Real>(Dim, np, interp_half_, side.half_bits,
-                           &vp[static_cast<std::size_t>(i * npf)], tmp.data());
-          face_sweep<Real>(Dim, np, interp_half_, side.half_bits,
-                           &tp[static_cast<std::size_t>(i * npf)], tmp.data());
+          half(interp_half_, side.half_bits, &vp[static_cast<std::size_t>(i * npf)]);
+          half(interp_half_, side.half_bits, &tp[static_cast<std::size_t>(i * npf)]);
         }
-        face_sweep<Real>(Dim, np, interp_half_, side.half_bits, zpp.data(), tmp.data());
-        face_sweep<Real>(Dim, np, interp_half_, side.half_bits, zsp.data(), tmp.data());
+        half(interp_half_, side.half_bits, zpp.data());
+        half(interp_half_, side.half_bits, zsp.data());
         riemann(Real(1));
       } else {
         // fine: integrate each subface at the fine resolution and lift back.
-        // Save my conforming face data once.
-        std::vector<Real> vm0 = vm, tm0 = tm, zpm0 = zpm, zsm0 = zsm, nrm0 = nrm, sj0 = sj;
-        std::vector<Real> acc(static_cast<std::size_t>(ncomp) * npf, Real(0));
+        // My conforming face data moves to the *0 twins.
+        std::swap(vm, vm0);
+        std::swap(tm, tm0);
+        std::swap(zpm, zpm0);
+        std::swap(zsm, zsm0);
+        std::swap(nrm, nrm0);
+        std::swap(sj, sj0);
+        std::fill(acc.begin(), acc.end(), Real(0));
         const Real scale = Dim == 3 ? Real(0.25) : Real(0.5);
         for (int s = 0; s < DgMesh<Dim>::nsub; ++s) {
           vm = vm0;
           tm = tm0;
           zpm = zpm0;
           zsm = zsm0;
-          nrm = nrm0;
           sj = sj0;
           for (int i = 0; i < Dim; ++i) {
-            face_sweep<Real>(Dim, np, interp_half_, s, &vm[static_cast<std::size_t>(i * npf)],
-                             tmp.data());
-            face_sweep<Real>(Dim, np, interp_half_, s, &tm[static_cast<std::size_t>(i * npf)],
-                             tmp.data());
+            half(interp_half_, s, &vm[static_cast<std::size_t>(i * npf)]);
+            half(interp_half_, s, &tm[static_cast<std::size_t>(i * npf)]);
           }
-          face_sweep<Real>(Dim, np, interp_half_, s, zpm.data(), tmp.data());
-          face_sweep<Real>(Dim, np, interp_half_, s, zsm.data(), tmp.data());
-          face_sweep<Real>(Dim, np, interp_half_, s, sj.data(), tmp.data());
-          // Interpolate and renormalize the normal.
-          std::vector<Real> nx(static_cast<std::size_t>(npf)), ny(static_cast<std::size_t>(npf)),
-              nz(static_cast<std::size_t>(npf));
+          half(interp_half_, s, zpm.data());
+          half(interp_half_, s, zsm.data());
+          half(interp_half_, s, sj.data());
+          // Interpolate the normal componentwise and renormalize it.
           for (int qq = 0; qq < npf; ++qq) {
-            nx[static_cast<std::size_t>(qq)] = nrm[static_cast<std::size_t>(qq * 3)];
-            ny[static_cast<std::size_t>(qq)] = nrm[static_cast<std::size_t>(qq * 3 + 1)];
-            nz[static_cast<std::size_t>(qq)] = nrm[static_cast<std::size_t>(qq * 3 + 2)];
+            for (int d = 0; d < 3; ++d) {
+              nxyz[static_cast<std::size_t>(d * npf + qq)] = nrm0[static_cast<std::size_t>(qq * 3 + d)];
+            }
           }
-          face_sweep<Real>(Dim, np, interp_half_, s, nx.data(), tmp.data());
-          face_sweep<Real>(Dim, np, interp_half_, s, ny.data(), tmp.data());
-          face_sweep<Real>(Dim, np, interp_half_, s, nz.data(), tmp.data());
+          for (int d = 0; d < 3; ++d) half(interp_half_, s, &nxyz[static_cast<std::size_t>(d * npf)]);
           for (int qq = 0; qq < npf; ++qq) {
-            const Real len = std::sqrt(nx[static_cast<std::size_t>(qq)] * nx[static_cast<std::size_t>(qq)] +
-                                       ny[static_cast<std::size_t>(qq)] * ny[static_cast<std::size_t>(qq)] +
-                                       nz[static_cast<std::size_t>(qq)] * nz[static_cast<std::size_t>(qq)]);
-            nrm[static_cast<std::size_t>(qq * 3)] = nx[static_cast<std::size_t>(qq)] / len;
-            nrm[static_cast<std::size_t>(qq * 3 + 1)] = ny[static_cast<std::size_t>(qq)] / len;
-            nrm[static_cast<std::size_t>(qq * 3 + 2)] = nz[static_cast<std::size_t>(qq)] / len;
+            const Real nx = nxyz[static_cast<std::size_t>(qq)];
+            const Real ny = nxyz[static_cast<std::size_t>(npf + qq)];
+            const Real nz = nxyz[static_cast<std::size_t>(2 * npf + qq)];
+            const Real len = std::sqrt(nx * nx + ny * ny + nz * nz);
+            nrm[static_cast<std::size_t>(qq * 3)] = nx / len;
+            nrm[static_cast<std::size_t>(qq * 3 + 1)] = ny / len;
+            nrm[static_cast<std::size_t>(qq * 3 + 2)] = nz / len;
           }
           fetch_plus(s);
           riemann(scale);
           // Lift through the transposed interpolation and accumulate.
           for (int comp = 0; comp < ncomp; ++comp) {
-            std::memcpy(tmp2.data(), &liftv[static_cast<std::size_t>(comp * npf)],
-                        sizeof(Real) * static_cast<std::size_t>(npf));
-            face_sweep<Real>(Dim, np, interp_half_t_, s, tmp2.data(), tmp.data());
-            for (int qq = 0; qq < npf; ++qq) {
-              acc[static_cast<std::size_t>(comp * npf + qq)] += tmp2[static_cast<std::size_t>(qq)];
-            }
+            Real* lc = &liftv[static_cast<std::size_t>(comp * npf)];
+            half(interp_half_t_, s, lc);
+            for (int qq = 0; qq < npf; ++qq) acc[static_cast<std::size_t>(comp * npf + qq)] += lc[qq];
           }
         }
-        std::memcpy(liftv.data(), acc.data(), sizeof(Real) * acc.size());
-        // Restore for the common lifting below.
-        vm = std::move(vm0);
+        liftv.swap(acc);
       }
 
       // Apply the lifted corrections: velocity scaled by 1/rho.
@@ -474,17 +399,7 @@ void ElasticWave<Dim, Real>::rhs(std::span<const Real> q, std::span<Real> out) c
 
 template <int Dim, typename Real>
 void ElasticWave<Dim, Real>::step(std::vector<Real>& q, double dt) const {
-  std::vector<Real> res(q.size(), Real(0)), k(q.size());
-  for (int stage = 0; stage < 5; ++stage) {
-    rhs(q, k);
-    const Real a = static_cast<Real>(kA[stage]);
-    const Real bdt = static_cast<Real>(kB[stage]);
-    const Real rdt = static_cast<Real>(dt);
-    for (std::size_t i = 0; i < q.size(); ++i) {
-      res[i] = a * res[i] + rdt * k[i];
-      q[i] += bdt * res[i];
-    }
-  }
+  lsrk54_step(q, dt, [this](std::span<const Real> x, std::span<Real> k) { rhs(x, k); });
 }
 
 template <int Dim, typename Real>

@@ -73,7 +73,7 @@ class ElasticWave {
   std::vector<Real> zp_, zs_;                  // impedances at face nodes (my side)
   std::vector<Real> diff_;                     // 1D differentiation matrix
   std::vector<Real> interp_half_[2], interp_half_t_[2];
-  std::vector<std::vector<int>> face_idx_;
+  std::vector<Real> wf_;                       // tensor face weights
   double max_speed_ = 0.0;
 };
 

@@ -87,6 +87,24 @@ DgMesh<Dim> DgMesh<Dim>::build(const forest::Forest<Dim>& f, const forest::Ghost
 
   const int np = mesh.np, nv = mesh.nv, npf = mesh.npf;
   const auto n = static_cast<std::size_t>(mesh.n_local);
+  for (int fc = 0; fc < nfaces; ++fc) {
+    const auto t = face_tangents(Dim, fc);
+    auto& fni = mesh.face_nodes[static_cast<std::size_t>(fc)];
+    fni.resize(static_cast<std::size_t>(npf));
+    for (int q = 0; q < npf; ++q) {
+      std::array<int, 3> idx{0, 0, 0};
+      idx[static_cast<std::size_t>(fc / 2)] = (fc % 2) ? np - 1 : 0;
+      idx[static_cast<std::size_t>(t[0])] = q % np;
+      if (Dim == 3) idx[static_cast<std::size_t>(t[1])] = q / np;
+      fni[static_cast<std::size_t>(q)] = node_index(Dim, np, idx);
+    }
+  }
+  mesh.face_weights.resize(static_cast<std::size_t>(npf));
+  for (int q = 0; q < npf; ++q) {
+    double w = mesh.basis.weights[static_cast<std::size_t>(q % np)];
+    if (Dim == 3) w *= mesh.basis.weights[static_cast<std::size_t>(q / np)];
+    mesh.face_weights[static_cast<std::size_t>(q)] = w;
+  }
   mesh.faces.resize(n * nfaces);
   mesh.coords.resize(n * static_cast<std::size_t>(nv) * 3);
   mesh.jdet.resize(n * static_cast<std::size_t>(nv));
@@ -100,7 +118,8 @@ DgMesh<Dim> DgMesh<Dim>::build(const forest::Forest<Dim>& f, const forest::Ghost
   const auto& conn = f.conn();
   constexpr double root_len = static_cast<double>(Oct::root_len);
 
-  std::vector<double> dx(static_cast<std::size_t>(nv) * 3);  // scratch for one derivative sweep
+  std::vector<double> jmat(static_cast<std::size_t>(nv) * Dim * Dim);
+  std::vector<double> comp(static_cast<std::size_t>(nv)), dcomp(static_cast<std::size_t>(nv));
   std::size_t e = 0;
   f.for_each_local([&](int t, const Oct& o) {
     // --- Node coordinates ---------------------------------------------------
@@ -118,8 +137,6 @@ DgMesh<Dim> DgMesh<Dim>::build(const forest::Forest<Dim>& f, const forest::Ghost
     }
 
     // --- Metric terms: J[d][a] = dx_d/dref_a by spectral differentiation ----
-    std::vector<double> jmat(static_cast<std::size_t>(nv) * Dim * Dim);
-    std::vector<double> comp(static_cast<std::size_t>(nv)), dcomp(static_cast<std::size_t>(nv));
     for (int d = 0; d < Dim; ++d) {
       for (int node = 0; node < nv; ++node) comp[static_cast<std::size_t>(node)] = xyz[node * 3 + d];
       for (int a = 0; a < Dim; ++a) {
@@ -133,30 +150,8 @@ DgMesh<Dim> DgMesh<Dim>::build(const forest::Forest<Dim>& f, const forest::Ghost
     double hm = 1e300;
     for (int node = 0; node < nv; ++node) {
       const double* jm = jmat.data() + static_cast<std::size_t>(node) * Dim * Dim;
-      double det;
-      double inv[9];
-      if constexpr (Dim == 2) {
-        det = jm[0] * jm[3] - jm[1] * jm[2];
-        inv[0] = jm[3] / det;   // dref0/dx
-        inv[1] = -jm[1] / det;  // dref0/dy
-        inv[2] = -jm[2] / det;  // dref1/dx
-        inv[3] = jm[0] / det;   // dref1/dy
-      } else {
-        const double a00 = jm[0], a01 = jm[1], a02 = jm[2];
-        const double a10 = jm[3], a11 = jm[4], a12 = jm[5];
-        const double a20 = jm[6], a21 = jm[7], a22 = jm[8];
-        det = a00 * (a11 * a22 - a12 * a21) - a01 * (a10 * a22 - a12 * a20) +
-              a02 * (a10 * a21 - a11 * a20);
-        inv[0] = (a11 * a22 - a12 * a21) / det;
-        inv[1] = (a02 * a21 - a01 * a22) / det;
-        inv[2] = (a01 * a12 - a02 * a11) / det;
-        inv[3] = (a12 * a20 - a10 * a22) / det;
-        inv[4] = (a00 * a22 - a02 * a20) / det;
-        inv[5] = (a02 * a10 - a00 * a12) / det;
-        inv[6] = (a10 * a21 - a11 * a20) / det;
-        inv[7] = (a01 * a20 - a00 * a21) / det;
-        inv[8] = (a00 * a11 - a01 * a10) / det;
-      }
+      double inv[Dim * Dim];
+      const double det = invert_jacobian<Dim>(jm, inv);
       if (det <= 0.0) throw std::runtime_error("dg_mesh: non-positive Jacobian");
       mesh.jdet[e * static_cast<std::size_t>(nv) + static_cast<std::size_t>(node)] = det;
       double wt = 1.0;
@@ -184,7 +179,7 @@ DgMesh<Dim> DgMesh<Dim>::build(const forest::Forest<Dim>& f, const forest::Ghost
     for (int fc = 0; fc < nfaces; ++fc) {
       const int axis = fc / 2;
       const double sgn = (fc % 2) ? 1.0 : -1.0;
-      const auto fni = face_node_indices(Dim, np, fc);
+      const auto& fni = mesh.face_nodes[static_cast<std::size_t>(fc)];
       for (int q = 0; q < npf; ++q) {
         const int node = fni[static_cast<std::size_t>(q)];
         const std::size_t nb = e * static_cast<std::size_t>(nv) + static_cast<std::size_t>(node);

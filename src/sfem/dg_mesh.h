@@ -11,11 +11,14 @@
 // of inter-tree connections (paper Fig. 3), so the flux kernels are
 // orientation-agnostic. Geometry (coordinates, metric terms, face normals)
 // is sampled at the tensor LGL nodes of each element and differentiated
-// spectrally.
+// spectrally. The mesh also carries what both dG solvers share: the face
+// tables of the reference element, the halo exchange, and (below) the
+// low-storage RK stepper.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 
 #include "forest/ghost.h"
 #include "sfem/geometry.h"
@@ -56,6 +59,12 @@ struct DgMesh {
 
   std::vector<FaceSide> faces;  ///< n_local * nfaces
 
+  // Face tables of the reference element.
+  /// Volume indices of the nodes of face f, in face enumeration: tangential
+  /// axes ascending, lower axis fastest (npf each).
+  std::array<std::vector<int>, nfaces> face_nodes;
+  std::vector<double> face_weights;  ///< npf tensor LGL weights over the tangentials
+
   // Per-element geometry at the tensor nodes.
   std::vector<double> coords;   ///< n_local*nv*3 physical positions
   std::vector<double> jdet;     ///< n_local*nv det(dx/dref)
@@ -76,18 +85,45 @@ struct DgMesh {
     return faces[static_cast<std::size_t>(elem * nfaces + f)];
   }
 
-  /// Exchange per-element nodal fields (`per_elem` doubles each, n_local
+  /// Exchange per-element nodal fields (`per_elem` values each, n_local
   /// blocks in SFC order) into the ghost halo (one block per ghost element).
-  std::vector<double> exchange(std::span<const double> fields, int per_elem) const {
-    std::vector<double> mirror(ghost->mirrors.size() * static_cast<std::size_t>(per_elem));
+  template <typename Real = double>
+  std::vector<Real> exchange(std::span<const std::type_identity_t<Real>> fields,
+                             int per_elem) const {
+    const auto block = static_cast<std::size_t>(per_elem);
+    std::vector<Real> mirror(ghost->mirrors.size() * block);
     for (std::size_t m = 0; m < ghost->mirrors.size(); ++m) {
-      const auto src = static_cast<std::size_t>(ghost->mirrors[m].local_index) *
-                       static_cast<std::size_t>(per_elem);
-      std::copy_n(fields.data() + src, per_elem, mirror.data() + m * per_elem);
+      std::copy_n(fields.data() + static_cast<std::size_t>(ghost->mirrors[m].local_index) * block,
+                  block, mirror.data() + m * block);
     }
-    return ghost->template exchange<double>(forest->comm(), mirror, per_elem);
+    return ghost->template exchange<Real>(forest->comm(), mirror, per_elem);
   }
 };
+
+/// One step of the five-stage fourth-order 2N-storage Runge-Kutta scheme of
+/// Carpenter & Kennedy (1994); `rhs(q, k)` writes dq/dt into k. The
+/// coefficients and dt are rounded to Real.
+template <typename Real, typename Rhs>
+void lsrk54_step(std::vector<Real>& q, double dt, const Rhs& rhs) {
+  static constexpr double a[5] = {0.0, -567301805773.0 / 1357537059087.0,
+                                  -2404267990393.0 / 2016746695238.0,
+                                  -3550918686646.0 / 2091501179385.0,
+                                  -1275806237668.0 / 842570457699.0};
+  static constexpr double b[5] = {
+      1432997174477.0 / 9575080441755.0, 5161836677717.0 / 13612068292357.0,
+      1720146321549.0 / 2090206949498.0, 3134564353537.0 / 4481467310338.0,
+      2277821191437.0 / 14882151754819.0};
+  std::vector<Real> res(q.size(), Real(0)), k(q.size());
+  const Real rdt = static_cast<Real>(dt);
+  for (int stage = 0; stage < 5; ++stage) {
+    rhs(q, k);
+    const Real as = static_cast<Real>(a[stage]), bs = static_cast<Real>(b[stage]);
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      res[i] = as * res[i] + rdt * k[i];
+      q[i] += bs * res[i];
+    }
+  }
+}
 
 extern template struct DgMesh<2>;
 extern template struct DgMesh<3>;

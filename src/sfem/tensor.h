@@ -1,8 +1,12 @@
 // Tensor-product kernels for nodal spectral elements: apply a 1D operator
-// along one axis of an np^dim nodal array, and index helpers for faces of
-// the tensor grid. Axis 0 is the fastest-running index.
+// along one axis of an np^dim nodal array, apply the 2:1 half-interval
+// operators along every axis of a face or volume block (the mortar), and
+// index helpers for faces of the tensor grid. Axis 0 is the fastest-running
+// index. The kernels are templated on the scalar type, so the double and
+// float solvers run the same loops.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -16,17 +20,32 @@ constexpr int ipow(int b, int e) {
 
 /// out = (A along `axis`) applied to u; u and out are np^dim arrays and must
 /// not alias. A is np x np, row-major (row = output node).
-inline void apply_axis(int dim, int np, int axis, const double* a, const double* u, double* out) {
+template <typename Real>
+void apply_axis(int dim, int np, int axis, const Real* a, const Real* u, Real* out) {
   const int stride = ipow(np, axis);
   const int total = ipow(np, dim);
   for (int base = 0; base < total; ++base) {
     if ((base / stride) % np != 0) continue;
     for (int k = 0; k < np; ++k) {
-      double acc = 0.0;
-      const double* arow = a + k * np;
+      Real acc = 0;
+      const Real* arow = a + k * np;
       for (int j = 0; j < np; ++j) acc += arow[j] * u[base + j * stride];
       out[base + k * stride] = acc;
     }
+  }
+}
+
+/// The mortar operator: apply ops[(bits >> k) & 1] along every axis k of an
+/// np^dim block in place, axis 0 first. `ops` is a pair of half-interval
+/// operators (Basis1d::interp_half, interp_half_t or project_half); a face
+/// block has dim = Dim - 1 and `bits` selects its subface. `tmp` is np^dim
+/// scratch.
+template <typename Real>
+void apply_half(int dim, int np, const std::vector<Real>* ops, int bits, Real* data, Real* tmp) {
+  const int total = ipow(np, dim);
+  for (int k = 0; k < dim; ++k) {
+    apply_axis(dim, np, k, ops[(bits >> k) & 1].data(), data, tmp);
+    std::copy_n(tmp, total, data);
   }
 }
 
@@ -46,31 +65,6 @@ inline std::array<int, 2> face_tangents(int dim, int f) {
     if (a != f / 2) t[static_cast<std::size_t>(k++)] = a;
   }
   return t;
-}
-
-/// Volume indices of the nodes of face f, in face enumeration: tangential
-/// axes ascending, lower axis fastest. Size np^(dim-1).
-inline std::vector<int> face_node_indices(int dim, int np, int f) {
-  const int axis = f / 2;
-  const int side = f % 2;
-  const auto t = face_tangents(dim, f);
-  const int nf = ipow(np, dim - 1);
-  std::vector<int> out(static_cast<std::size_t>(nf));
-  for (int q = 0; q < nf; ++q) {
-    std::array<int, 3> idx{0, 0, 0};
-    idx[static_cast<std::size_t>(axis)] = side ? np - 1 : 0;
-    idx[static_cast<std::size_t>(t[0])] = q % np;
-    if (dim == 3) idx[static_cast<std::size_t>(t[1])] = q / np;
-    out[static_cast<std::size_t>(q)] = node_index(dim, np, idx);
-  }
-  return out;
-}
-
-/// Apply a 1D operator along one tangential direction of a face array
-/// (np^(dim-1) values; dir = 0 is the fast index).
-inline void apply_face_axis(int dim, int np, int dir, const double* a, const double* u,
-                            double* out) {
-  apply_axis(dim - 1, np, dir, a, u, out);
 }
 
 }  // namespace esamr::sfem

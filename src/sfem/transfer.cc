@@ -7,48 +7,6 @@
 
 namespace esamr::sfem {
 
-namespace {
-
-/// Tensor interpolation of one element block (ncomp * np^Dim) to child
-/// `cid`, or tensor L2 projection of a child block onto its parent
-/// (accumulated: caller zeroes the target first).
-template <int Dim>
-void child_interp(const Basis1d& b, int ncomp, int cid, const double* parent, double* child) {
-  const int np = b.np, nv = ipow(np, Dim);
-  std::vector<double> t0(static_cast<std::size_t>(nv)), t1(static_cast<std::size_t>(nv));
-  for (int c = 0; c < ncomp; ++c) {
-    std::memcpy(t0.data(), parent + static_cast<std::size_t>(c) * nv,
-                sizeof(double) * static_cast<std::size_t>(nv));
-    for (int a = 0; a < Dim; ++a) {
-      apply_axis(Dim, np, a, b.interp_half[(cid >> a) & 1].data(), t0.data(), t1.data());
-      std::swap(t0, t1);
-    }
-    std::memcpy(child + static_cast<std::size_t>(c) * nv, t0.data(),
-                sizeof(double) * static_cast<std::size_t>(nv));
-  }
-}
-
-template <int Dim>
-void child_project_accumulate(const Basis1d& b, int ncomp, int cid, const double* child,
-                              double* parent) {
-  const int np = b.np, nv = ipow(np, Dim);
-  std::vector<double> t0(static_cast<std::size_t>(nv)), t1(static_cast<std::size_t>(nv));
-  for (int c = 0; c < ncomp; ++c) {
-    std::memcpy(t0.data(), child + static_cast<std::size_t>(c) * nv,
-                sizeof(double) * static_cast<std::size_t>(nv));
-    for (int a = 0; a < Dim; ++a) {
-      apply_axis(Dim, np, a, b.project_half[(cid >> a) & 1].data(), t0.data(), t1.data());
-      std::swap(t0, t1);
-    }
-    for (int node = 0; node < nv; ++node) {
-      parent[static_cast<std::size_t>(c) * nv + static_cast<std::size_t>(node)] +=
-          t0[static_cast<std::size_t>(node)];
-    }
-  }
-}
-
-}  // namespace
-
 template <int Dim>
 std::vector<double> transfer_fields(const std::vector<std::vector<forest::Octant<Dim>>>& old_trees,
                                     const forest::Forest<Dim>& new_forest,
@@ -58,6 +16,15 @@ std::vector<double> transfer_fields(const std::vector<std::vector<forest::Octant
   constexpr int nchild = forest::Topo<Dim>::num_children;
   const int nv = ipow(basis.np, Dim);
   const auto per_elem = static_cast<std::size_t>(ncomp) * static_cast<std::size_t>(nv);
+  std::vector<double> tmp(static_cast<std::size_t>(nv));
+  // In place on every component of an element block: the tensor
+  // interpolation to child `cid` (ops = interp_half), or the L2 projection
+  // of child `cid` onto its parent (ops = project_half).
+  const auto half_block = [&](const std::vector<double>* ops, int cid, double* block) {
+    for (int c = 0; c < ncomp; ++c) {
+      apply_half(Dim, basis.np, ops, cid, block + static_cast<std::size_t>(c) * nv, tmp.data());
+    }
+  };
 
   std::vector<double> out;
   out.reserve(static_cast<std::size_t>(new_forest.num_local()) * per_elem);
@@ -78,7 +45,8 @@ std::vector<double> transfer_fields(const std::vector<std::vector<forest::Octant
           }
           std::vector<double> child(per_elem);
           for (int c = 0; c < nchild; ++c) {
-            child_interp<Dim>(basis, ncomp, c, data, child.data());
+            std::copy_n(data, per_elem, child.data());
+            half_block(basis.interp_half, c, child.data());
             emit_refined(cur.child(c), child.data());
           }
         };
@@ -96,7 +64,8 @@ std::vector<double> transfer_fields(const std::vector<std::vector<forest::Octant
       std::vector<double> child(per_elem);
       for (int c = 0; c < nchild; ++c) {
         gather_coarsened(cur.child(c), child.data());
-        child_project_accumulate<Dim>(basis, ncomp, c, child.data(), data);
+        half_block(basis.project_half, c, child.data());
+        for (std::size_t k = 0; k < per_elem; ++k) data[k] += child[k];
       }
     };
 

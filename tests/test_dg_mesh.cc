@@ -24,7 +24,8 @@ bool random_mark(int t, const Octant<Dim>& o, unsigned salt, int mod) {
 /// Verify that for every interior face, my face-node coordinates equal the
 /// neighbor's (orientation-mapped, and half-interpolated at 2:1 interfaces)
 /// face-node coordinates. This exercises node_map, half_bits, subface
-/// pairing, and ghost exchange at once.
+/// pairing, the library's face tables and mortar operator (apply_half), and
+/// ghost exchange at once.
 ///
 /// `period` > 0 compares modulo the periodic box size. `hang_tol` relaxes
 /// the 2:1 comparisons: on curved (non-polynomial) geometry the hanging-face
@@ -40,14 +41,14 @@ void expect_watertight(const DgMesh<Dim>& mesh, double tol = 1e-9, double period
   const int np = mesh.np, nv = mesh.nv, npf = mesh.npf;
   const auto ghost_xyz = mesh.exchange(mesh.coords, nv * 3);
   const Basis1d& b = mesh.basis;
-  std::vector<double> t0(static_cast<std::size_t>(npf)), t1(static_cast<std::size_t>(npf));
+  std::vector<double> tmp(static_cast<std::size_t>(npf));
 
   int checked = 0;
   for (std::int64_t e = 0; e < mesh.n_local; ++e) {
     for (int f = 0; f < DgMesh<Dim>::nfaces; ++f) {
       const auto& side = mesh.face(e, f);
       if (side.kind == DgMesh<Dim>::FaceKind::boundary) continue;
-      const auto fni = face_node_indices(Dim, np, f);
+      const auto& fni = mesh.face_nodes[static_cast<std::size_t>(f)];
 
       const auto nbr_coord = [&](int slot, int d) {
         const double* src = side.nbr_ghost[static_cast<std::size_t>(slot)]
@@ -55,7 +56,7 @@ void expect_watertight(const DgMesh<Dim>& mesh, double tol = 1e-9, double period
                                       static_cast<std::size_t>(side.nbr[static_cast<std::size_t>(slot)]) * nv * 3
                                 : mesh.coords.data() +
                                       static_cast<std::size_t>(side.nbr[static_cast<std::size_t>(slot)]) * nv * 3;
-        const auto nfni = face_node_indices(Dim, np, side.nbr_face);
+        const auto& nfni = mesh.face_nodes[static_cast<std::size_t>(side.nbr_face)];
         std::vector<double> vals(static_cast<std::size_t>(npf));
         for (int q = 0; q < npf; ++q) {
           vals[static_cast<std::size_t>(q)] =
@@ -80,25 +81,18 @@ void expect_watertight(const DgMesh<Dim>& mesh, double tol = 1e-9, double period
           }
         } else if (side.kind == DgMesh<Dim>::FaceKind::coarse) {
           auto theirs = nbr_coord(0, d);
-          std::memcpy(t0.data(), theirs.data(), sizeof(double) * static_cast<std::size_t>(npf));
-          for (int k = 0; k < Dim - 1; ++k) {
-            apply_face_axis(Dim, np, k, b.interp_half[(side.half_bits >> k) & 1].data(), t0.data(),
-                            t1.data());
-            std::swap(t0, t1);
-          }
+          apply_half(Dim - 1, np, b.interp_half, side.half_bits, theirs.data(), tmp.data());
           for (int q = 0; q < npf; ++q) {
-            EXPECT_LE(diff(mine[static_cast<std::size_t>(q)], t0[static_cast<std::size_t>(q)]), hang_tol);
+            EXPECT_LE(diff(mine[static_cast<std::size_t>(q)], theirs[static_cast<std::size_t>(q)]),
+                      hang_tol);
           }
         } else {  // fine
           for (int s = 0; s < DgMesh<Dim>::nsub; ++s) {
-            std::memcpy(t0.data(), mine.data(), sizeof(double) * static_cast<std::size_t>(npf));
-            for (int k = 0; k < Dim - 1; ++k) {
-              apply_face_axis(Dim, np, k, b.interp_half[(s >> k) & 1].data(), t0.data(), t1.data());
-              std::swap(t0, t1);
-            }
+            auto sub = mine;
+            apply_half(Dim - 1, np, b.interp_half, s, sub.data(), tmp.data());
             const auto theirs = nbr_coord(s, d);
             for (int q = 0; q < npf; ++q) {
-              EXPECT_LE(diff(t0[static_cast<std::size_t>(q)], theirs[static_cast<std::size_t>(q)]), hang_tol);
+              EXPECT_LE(diff(sub[static_cast<std::size_t>(q)], theirs[static_cast<std::size_t>(q)]), hang_tol);
             }
           }
         }
